@@ -1,0 +1,5 @@
+"""Layered benchmark of the structsolve Toeplitz/Cauchy pipeline.
+
+Run it as ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the repository root; see ``run.py``.
+"""
