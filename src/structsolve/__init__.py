@@ -14,9 +14,6 @@ from .cauchy_gko import (
     PivotStrategy,
     cauchy_solve,
     gko_factor,
-    recover_column,
-    recover_row,
-    schur_update,
     solve_with_factors,
 )
 from .core import (
@@ -26,8 +23,6 @@ from .core import (
     Permutation,
     SingularMatrixError,
     ToeplitzCoeffs,
-    apply_row_perm,
-    frobenius_norm,
     materialize_cauchy,
 )
 from .dft import DftPlan, apply_F, apply_F_inv, scaling_D, toeplitz_cauchy_nodes
@@ -90,7 +85,6 @@ __all__ = [
     "adversarial_toeplitz",
     "apply_F",
     "apply_F_inv",
-    "apply_row_perm",
     "backward_error_cauchy",
     "backward_error_toeplitz",
     "cancellation_cauchy",
@@ -100,19 +94,15 @@ __all__ = [
     "dense_schur_complement",
     "dense_solve",
     "dense_toeplitz",
-    "frobenius_norm",
     "gko_factor",
     "growth_report",
     "materialize_cauchy",
     "random_cauchy_type",
     "random_toeplitz",
     "records_to_csv",
-    "recover_column",
     "recover_from_displacement",
-    "recover_row",
     "run_sweep",
     "scaling_D",
-    "schur_update",
     "solve_quality",
     "solve_with_factors",
     "to_cauchy_generators",

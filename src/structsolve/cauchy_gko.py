@@ -19,20 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CauchyNodes,
-    GeneratorPair,
-    Permutation,
-    SingularMatrixError,
-)
+from .core import EPS, CauchyNodes, GeneratorPair, Permutation, SingularMatrixError
 
 __all__ = [
     "PivotStrategy",
     "GrowthTrace",
     "GKOFactorization",
-    "recover_column",
-    "recover_row",
-    "schur_update",
     "gko_factor",
     "solve_with_factors",
     "cauchy_solve",
@@ -43,8 +35,6 @@ V_DEGENERATE_FLOOR = 1e-300
 
 #: orders above which the O(n^3) hatted-ratio diagnostic is skipped on "auto"
 HAT_RATIO_AUTO_LIMIT = 256
-
-_EPS = float(np.finfo(float).eps)
 
 
 class PivotStrategy(enum.Enum):
@@ -134,66 +124,31 @@ class GKOFactorization:
         return out
 
 
-def recover_column(gen: GeneratorPair, nodes: CauchyNodes, k: int) -> np.ndarray:
-    """Entries r_{jk} = phi_j psi_k / (t_j - s_k) for j = k..n-1 (0-based k).
+def _recover(phi, psi, t, s, k, axis, head=None):
+    """Step-k column (axis 0) or row (axis 1) of the reduced matrix, k..n-1.
 
-    With k = 0 this is the first column of the represented matrix; after k
-    exact elimination steps on the generators it is the first column of the
-    k-th Schur complement.
+    ``head`` overwrites entry 0, the diagonal both share; the row leaves it
+    to the caller and recovers only k+1..n-1.  BLAS may round an entry
+    differently when its slice starts elsewhere, so these operand shapes are
+    part of what keeps the factors reproducible.
     """
-    if not 0 <= k < gen.n:
-        raise IndexError(f"step {k} out of range for order {gen.n}")
-    return (gen.phi[k:] @ gen.psi[:, k]) / (nodes.t[k:] - nodes.s[k])
+    if axis == 0:
+        out = (phi[k:] @ psi[:, k]) / (t[k:] - s[k])
+    else:
+        out = np.empty(phi.shape[0] - k, dtype=complex)
+        out[1:] = (phi[k] @ psi[:, k + 1 :]) / (t[k] - s[k + 1 :])
+    if head is not None:
+        out[0] = head
+    return out
 
 
-def recover_row(gen: GeneratorPair, nodes: CauchyNodes, k: int) -> np.ndarray:
-    """Entries r_{kj} = phi_k psi_j / (t_k - s_j) for j = k..n-1 (0-based k)."""
-    if not 0 <= k < gen.n:
-        raise IndexError(f"step {k} out of range for order {gen.n}")
-    return (gen.phi[k] @ gen.psi[:, k:]) / (nodes.t[k] - nodes.s[k:])
-
-
-def _schur_update_inplace(phi, psi, l_tail, u_tail, phi_k, psi_k, u_kk, k):
+def _schur_update_inplace(phi, psi, l_tail, u_tail, u_kk, k):
     # the Schur-complement generator recursion:
     #   psi_j <- psi_j - psi_k u_kj / u_kk,   phi_j <- phi_j - l_jk phi_k
-    if k + 1 < phi.shape[0]:
-        psi[:, k + 1 :] -= np.outer(psi_k, u_tail / u_kk)
-        phi[k + 1 :] -= np.outer(l_tail, phi_k)
+    psi[:, k + 1 :] -= np.outer(psi[:, k], u_tail / u_kk)
+    phi[k + 1 :] -= np.outer(l_tail, phi[k])
     phi[k] = 0.0
     psi[:, k] = 0.0
-
-
-def schur_update(
-    gen: GeneratorPair,
-    l_col: np.ndarray,
-    u_row: np.ndarray,
-    psi_k: np.ndarray,
-    phi_k: np.ndarray,
-    u_kk: complex,
-    k: int,
-) -> GeneratorPair:
-    """One generator update step producing the step-(k+1) generator pair.
-
-    ``l_col`` holds the multipliers l_{jk} and ``u_row`` the entries u_{kj}
-    for j = k+1..n-1; ``phi_k`` / ``psi_k`` are the pivot row of phi and
-    pivot column of psi.  Row k of phi and column k of psi are zeroed in the
-    result, matching the exact Schur-complement generators.
-    """
-    if u_kk == 0:
-        raise SingularMatrixError("zero pivot in generator update")
-    phi = gen.phi.copy()
-    psi = gen.psi.copy()
-    _schur_update_inplace(
-        phi,
-        psi,
-        np.asarray(l_col, dtype=complex),
-        np.asarray(u_row, dtype=complex),
-        np.asarray(phi_k, dtype=complex),
-        np.asarray(psi_k, dtype=complex),
-        complex(u_kk),
-        k,
-    )
-    return GeneratorPair(phi=phi, psi=psi)
 
 
 def _v_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -272,58 +227,41 @@ def gko_factor(
         if hat_ratios:
             hat_ratio[k] = _hat_ratio(phi, psi, t, s, k)
 
-        col = (phi[k:] @ psi[:, k]) / (t[k:] - s[k])
-        col_cand_max = np.abs(col).max()
-
+        col = _recover(phi, psi, t, s, k, 0)
+        col_mag = np.abs(col)
+        cand_max = col_mag.max()
+        axis, p = 0, k
+        if strategy is not PivotStrategy.NONE:
+            p = k + int(np.argmax(col_mag))
         if strategy is PivotStrategy.ROW1_COL1:
-            row = np.empty(n - k, dtype=complex)
             # the diagonal entry belongs to both candidate sets; reuse the
             # column's value bitwise so a duplicate recovery cannot break the
             # row-preferred tie rule by one ulp
-            row[0] = col[0]
-            if k + 1 < n:
-                row[1:] = (phi[k] @ psi[:, k + 1 :]) / (t[k] - s[k + 1 :])
-            q = k + int(np.argmax(np.abs(col)))
-            p = k + int(np.argmax(np.abs(row)))
-            max1 = abs(col[q - k])
-            max2 = abs(row[p - k])
-            cand_max = max(col_cand_max, np.abs(row).max())
-            use_col = max2 > max1
-        else:
-            q = k if strategy is PivotStrategy.NONE else k + int(np.argmax(np.abs(col)))
-            cand_max = col_cand_max
-            use_col = False
+            row = _recover(phi, psi, t, s, k, 1, head=col[0])
+            row_mag = np.abs(row)
+            cand_max = max(cand_max, row_mag.max())
+            p_row = k + int(np.argmax(row_mag))
+            if abs(row[p_row - k]) > abs(col[p - k]):
+                axis, p = 1, p_row
 
-        if use_col:
-            # column interchange: swap nodes, psi columns, the recovered row
-            # entries, and the already-written part of U plus its permutation
-            if p != k:
-                s[[k, p]] = s[[p, k]]
-                psi[:, [k, p]] = psi[:, [p, k]]
-                row[[0, p - k]] = row[[p - k, 0]]
-                U[:k, [k, p]] = U[:k, [p, k]]
-                cidx[[k, p]] = cidx[[p, k]]
-            u_kk = row[0]
-            col = (phi[k:] @ psi[:, k]) / (t[k:] - s[k])
-            col[0] = u_kk
-            piv_index[k] = p
-            piv_is_col[k] = True
-        else:
-            if q != k:
-                t[[k, q]] = t[[q, k]]
-                phi[[k, q]] = phi[[q, k]]
-                col[[0, q - k]] = col[[q - k, 0]]
-                L[[k, q], :k] = L[[q, k], :k]
-                pidx[[k, q]] = pidx[[q, k]]
-            u_kk = col[0]
-            row = np.empty(n - k, dtype=complex)
-            row[0] = u_kk
-            if k + 1 < n:
-                row[1:] = (phi[k] @ psi[:, k + 1 :]) / (t[k] - s[k + 1 :])
-            piv_index[k] = q
+        # a column interchange on R is a row interchange on R^T, whose nodes
+        # are (-s, -t) and generators (psi^T, phi^T): swapping rows of the
+        # transposed views of s, psi and the finished rows of U is the same
+        # block as a row interchange
+        own = col if axis == 0 else row
+        if p != k:
+            swapped = (t, phi, L[:, :k], pidx) if axis == 0 else (s, psi.T, U.T[:, :k], cidx)
+            for a in swapped:
+                a[[k, p]] = a[[p, k]]
+            own[[0, p - k]] = own[[p - k, 0]]
+        u_kk = own[0]
+        other = _recover(phi, psi, t, s, k, 1 - axis, head=u_kk)
+        col, row = (own, other) if axis == 0 else (other, own)
+        piv_index[k] = p
+        piv_is_col[k] = axis == 1
 
         piv_mag[k] = abs(u_kk)
-        if piv_mag[k] <= n * _EPS * cand_max:
+        if piv_mag[k] <= n * EPS * cand_max:
             raise SingularMatrixError(
                 f"singular at step {k}: pivot {piv_mag[k]:.3e} below "
                 f"{n}*eps*{cand_max:.3e}"
@@ -354,7 +292,7 @@ def gko_factor(
         )
         hat_u[k] = np.linalg.norm(num_row / gap_row)
 
-        _schur_update_inplace(phi, psi, l_tail, row[1:], phi[k], psi[:, k], u_kk, k)
+        _schur_update_inplace(phi, psi, l_tail, row[1:], u_kk, k)
 
     trace = GrowthTrace(
         pivot_index=piv_index,

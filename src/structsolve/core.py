@@ -1,8 +1,8 @@
 """Shared domain types for displacement-structured solvers.
 
 Everything is stored dense and complex128, even when the data happens to be
-real: at the problem sizes this library targets (n up to a few hundred) the
-simplicity is worth far more than the memory.
+real: the simplicity is worth the memory even at orders in the thousands
+(at n = 2048, L and U together take 134 MB).
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ __all__ = [
     "CauchyNodes",
     "ToeplitzCoeffs",
     "Permutation",
-    "frobenius_norm",
-    "apply_row_perm",
     "materialize_cauchy",
 ]
 
 #: relative node separation below which a Cauchy node pair is rejected
 NODE_COLLISION_RTOL = 1e-14
+
+#: machine epsilon of float64, the unit of every n*eps threshold and bound
+EPS = float(np.finfo(float).eps)
 
 
 class NodeCollisionError(ValueError):
@@ -91,9 +92,10 @@ class GeneratorPair:
 class CauchyNodes:
     """Node vectors t, s defining the diagonal displacement operators.
 
-    Construction rejects node collisions: if ``min |t_i - s_j|`` falls below
-    ``1e-14 * max(|t|, |s|, 1)`` the represented matrix has entries that are
-    not recoverable from generators, and such inputs are refused outright.
+    Construction rejects non-finite nodes and node collisions: if
+    ``min |t_i - s_j|`` falls below ``1e-14 * max(|t|, |s|, 1)`` the
+    represented matrix has entries that are not recoverable from generators,
+    and such inputs are refused outright.
     """
 
     t: np.ndarray
@@ -106,6 +108,8 @@ class CauchyNodes:
             raise ValueError(f"t has length {t.size} but s has length {s.size}")
         if t.size == 0:
             raise ValueError("node vectors must be nonempty")
+        if not (np.isfinite(t).all() and np.isfinite(s).all()):
+            raise ValueError("node vectors must be finite")
         scale = max(np.abs(t).max(), np.abs(s).max(), 1.0)
         gap = np.abs(t[:, None] - s[None, :]).min()
         if gap < NODE_COLLISION_RTOL * scale:
@@ -157,11 +161,10 @@ class ToeplitzCoeffs:
 
 @dataclass(frozen=True)
 class Permutation:
-    """Index-vector permutation; ``apply`` to a matrix selects rows ``idx``.
+    """Index-vector permutation that selects rows ``idx`` of a matrix.
 
     As a matrix, P = I[idx] (rows of the identity), so that
-    ``apply(m) == P @ m`` and applying a permutation after its inverse is the
-    identity.
+    ``m[p.idx] == P @ m`` and ``m[p.idx][p.inverse().idx] == m``.
     """
 
     idx: np.ndarray
@@ -190,19 +193,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.idx, np.arange(self.n)))
-
-
-def frobenius_norm(m) -> float:
-    """Frobenius norm sqrt(sum |m_ij|^2) of a matrix (or 2-norm of a vector)."""
-    return float(np.linalg.norm(np.asarray(m)))
-
-
-def apply_row_perm(p: Permutation, m: np.ndarray) -> np.ndarray:
-    """Permute rows of ``m``: row i of the result is row p.idx[i] of ``m``."""
-    m = np.asarray(m)
-    if p.n != m.shape[0]:
-        raise ValueError(f"permutation is for {p.n} rows, matrix has {m.shape[0]}")
-    return m[p.idx]
 
 
 def materialize_cauchy(gen: GeneratorPair, nodes: CauchyNodes) -> np.ndarray:

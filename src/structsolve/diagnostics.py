@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy_gko import GKOFactorization, GrowthTrace
-from .core import CauchyNodes, GeneratorPair, ToeplitzCoeffs, materialize_cauchy
+from .cauchy_gko import GKOFactorization, GrowthTrace, _v_ratio
+from .core import EPS, CauchyNodes, GeneratorPair, ToeplitzCoeffs, materialize_cauchy
 from .oracle import dense_solve, dense_toeplitz
 from .toeplitz import ToeplitzFactorization
 
@@ -31,11 +31,6 @@ __all__ = [
     "recover_from_displacement",
     "solve_quality",
 ]
-
-_EPS = float(np.finfo(float).eps)
-
-#: |denominator| below this counts as a degenerate (flagged-infinite) V entry
-V_DEGENERATE_FLOOR = 1e-300
 
 
 @dataclass
@@ -104,12 +99,7 @@ def v_matrix(gen: GeneratorPair) -> np.ndarray:
     leaving only a phase.  Entries whose denominator underflows
     |.| < 1e-300 are flagged as +inf rather than raising.
     """
-    num = np.abs(gen.phi) @ np.abs(gen.psi)
-    den = gen.phi @ gen.psi
-    out = np.full(den.shape, np.inf + 0j, dtype=complex)
-    ok = np.abs(den) >= V_DEGENERATE_FLOOR
-    out[ok] = num[ok] / den[ok]
-    return out
+    return _v_ratio(np.abs(gen.phi) @ np.abs(gen.psi), gen.phi @ gen.psi)
 
 
 def growth_report(
@@ -144,8 +134,8 @@ def growth_report(
     b_min = float(1.0 / agaps.max())
 
     lu = norm_l * norm_u
-    bound_cauchy = _EPS * (b_max / b_min * g1 + n * g2) * lu
-    bound_toeplitz = _EPS * g3 * n * lu
+    bound_cauchy = EPS * (b_max / b_min * g1 + n * g2) * lu
+    bound_toeplitz = EPS * g3 * n * lu
     return GrowthReport(
         g1=g1,
         g2=g2,

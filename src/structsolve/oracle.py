@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, SingularMatrixError, ToeplitzCoeffs
+from .core import EPS, Permutation, SingularMatrixError, ToeplitzCoeffs
 
 __all__ = [
     "DenseFactorization",
@@ -21,8 +21,6 @@ __all__ = [
     "cond_estimate",
     "dense_toeplitz",
 ]
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -57,7 +55,7 @@ def dense_gepp_factor(a) -> DenseFactorization:
         q = k + int(np.argmax(np.abs(A[k:, k])))
         pivots.append(q)
         cand = abs(A[q, k])
-        if cand <= n * _EPS * np.abs(A[k:, k]).max():
+        if cand <= n * EPS * np.abs(A[k:, k]).max():
             raise SingularMatrixError(f"singular at elimination step {k}")
         if q != k:
             A[[k, q], k:] = A[[q, k], k:]

@@ -12,7 +12,6 @@ triangular substitutions.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,6 @@ __all__ = [
     "toeplitz_solve",
     "toeplitz_displacement",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -71,32 +68,29 @@ def toeplitz_generators(c: ToeplitzCoeffs) -> GeneratorPair:
     return GeneratorPair(phi=phi, psi=psi)
 
 
-def to_cauchy_generators(gen: GeneratorPair, n: int | None = None):
+def to_cauchy_generators(gen: GeneratorPair):
     """Convert {Z_1, Z_-1}-generators to Cauchy-type generators via the DFT.
 
     Returns ``(gen_c, nodes)`` with phi_C = F Omega and psi_C* = F D Gamma*,
     the generator transform accompanying R = F T D^{-1} F*.
     """
-    if n is None:
-        n = gen.n
-    elif n != gen.n:
-        raise ValueError(f"generators are order {gen.n}, requested order {n}")
-    plan = DftPlan.create(n)
-    d = scaling_D(n)
+    return _to_cauchy(gen, DftPlan.create(gen.n), scaling_D(gen.n))
+
+
+def _to_cauchy(gen: GeneratorPair, plan: DftPlan, d: np.ndarray):
     phi_c = apply_F(plan, gen.phi)
     psi_c = apply_F(plan, d[:, None] * gen.psi.conj().T).conj().T
-    return GeneratorPair(phi=phi_c, psi=psi_c), toeplitz_cauchy_nodes(n)
+    return GeneratorPair(phi=phi_c, psi=psi_c), toeplitz_cauchy_nodes(gen.n)
 
 
 def toeplitz_factor(
     c: ToeplitzCoeffs, strategy=PivotStrategy.PARTIAL_ROW, hat_ratios="auto"
 ) -> ToeplitzFactorization:
     """Build generators, transform to Cauchy form, and run the GKO factorization."""
-    gen_c, nodes = to_cauchy_generators(toeplitz_generators(c))
+    plan, d = DftPlan.create(c.n), scaling_D(c.n)
+    gen_c, nodes = _to_cauchy(toeplitz_generators(c), plan, d)
     inner = gko_factor(gen_c, nodes, strategy, hat_ratios=hat_ratios)
-    return ToeplitzFactorization(
-        inner=inner, plan=DftPlan.create(c.n), d=scaling_D(c.n)
-    )
+    return ToeplitzFactorization(inner=inner, plan=plan, d=d)
 
 
 def toeplitz_solve(f: ToeplitzFactorization, b) -> np.ndarray:
@@ -110,13 +104,7 @@ def toeplitz_solve(f: ToeplitzFactorization, b) -> np.ndarray:
         raise ValueError(f"factorization is order {f.n}, b has length {b.shape[0]}")
     y = solve_with_factors(f.inner, apply_F(f.plan, b))
     # x = D^* F^* y; D is unit-modulus so its inverse is the conjugate
-    x = np.conj(f.d) * apply_F_inv(f.plan, y)
-    if np.all(b.imag == 0.0):
-        logger.debug(
-            "real right-hand side: max imaginary component of solution %.3e",
-            float(np.abs(x.imag).max()),
-        )
-    return x
+    return np.conj(f.d) * apply_F_inv(f.plan, y)
 
 
 def toeplitz_displacement(c: ToeplitzCoeffs) -> np.ndarray:

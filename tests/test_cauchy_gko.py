@@ -13,51 +13,58 @@ def _ones_cauchy(t, s):
     return gen, ss.CauchyNodes(t=t, s=s)
 
 
+# With no pivoting, step k of gko_factor writes the recovered step-k column
+# as L[k:, k] * u_kk and the recovered row as U[k, k:], and the trailing
+# block of L U is the Schur complement its generator updates represent.
+
+
 def test_recover_column_direct_formula():
     gen, nodes = _ones_cauchy([4.0, 5.0], [1.0, 2.0])
-    assert_allclose(ss.recover_column(gen, nodes, 0), [1 / 3, 1 / 4], rtol=1e-15)
+    f = ss.gko_factor(gen, nodes, "none")
+    assert_allclose(f.L[:, 0] * f.U[0, 0], [1 / 3, 1 / 4], rtol=1e-15)
+    assert_allclose(f.U[0], [1 / 3, 1 / 2], rtol=1e-15)
 
 
 def test_recover_first_column_and_row_match_materialization():
     gen, nodes = ss.random_cauchy_type(6, 3, seed=2)
     R = ss.materialize_cauchy(gen, nodes)
-    assert_allclose(ss.recover_column(gen, nodes, 0), R[:, 0], rtol=1e-14)
-    assert_allclose(ss.recover_row(gen, nodes, 0), R[0, :], rtol=1e-14)
+    f = ss.gko_factor(gen, nodes, "none")
+    assert_allclose(f.L[:, 0] * f.U[0, 0], R[:, 0], rtol=1e-14)
+    assert_allclose(f.U[0], R[0, :], rtol=1e-14)
 
 
 def test_recover_row_transposition_symmetry():
-    # the transpose is Cauchy-type with (phi, t) <-> (psi^T, -s) exchanged,
-    # so recovering its first column recovers the first row of the original
+    # R^T is Cauchy-type with generators (psi^T, phi^T) on nodes (-s, -t):
+    # factoring those generators reconstructs R^T, and without pivoting the
+    # first column it recovers is the first row of R
     gen, nodes = ss.random_cauchy_type(5, 2, seed=33)
     swapped = ss.GeneratorPair(phi=gen.psi.T, psi=gen.phi.T)
     flipped = ss.CauchyNodes(t=-nodes.s, s=-nodes.t)
-    col = ss.recover_column(swapped, flipped, 0)
-    row = ss.recover_row(gen, nodes, 0)
-    assert_allclose(col, row, rtol=1e-14)
+    R = ss.materialize_cauchy(gen, nodes)
+    for strategy in ("none", "partial", "row1col1"):
+        ft = ss.gko_factor(swapped, flipped, strategy)
+        assert np.linalg.norm(ft.reconstruct() - R.T) <= 1e-13 * np.linalg.norm(R)
+    ft = ss.gko_factor(swapped, flipped, "none")
+    f = ss.gko_factor(gen, nodes, "none")
+    assert_allclose(ft.L[:, 0] * ft.U[0, 0], f.U[0], rtol=1e-14)
 
 
 def test_recover_row_matches_toeplitz_derived_dense_row():
     coeffs = ss.random_toeplitz(8, seed=4)
     gen, nodes = ss.to_cauchy_generators(ss.toeplitz_generators(coeffs))
     R = ss.materialize_cauchy(gen, nodes)
-    assert_allclose(ss.recover_row(gen, nodes, 0), R[0], rtol=1e-12)
+    assert_allclose(ss.gko_factor(gen, nodes, "none").U[0], R[0], rtol=1e-12)
 
 
-def _one_exact_step(gen, nodes):
-    """One generator update step from the step-0 pivot, no interchanges."""
-    col = ss.recover_column(gen, nodes, 0)
-    row = ss.recover_row(gen, nodes, 0)
-    u00 = col[0]
-    return ss.schur_update(
-        gen, col[1:] / u00, row[1:], gen.psi[:, 0], gen.phi[0], u00, 0
-    )
+def _trailing(f, m):
+    """The block the generators represent after m unpivoted update steps."""
+    return (f.L[:, m:] @ f.U[m:, :])[m:, m:]
 
 
 def test_schur_update_reproduces_dense_schur_complement():
     gen, nodes = _ones_cauchy([4.0, 5.0, 6.0, 7.0], [1.0, 2.0, 2.5, 3.0])
     R = ss.materialize_cauchy(gen, nodes)
-    updated = _one_exact_step(gen, nodes)
-    got = ss.materialize_cauchy(updated, nodes)[1:, 1:]
+    got = _trailing(ss.gko_factor(gen, nodes, "none"), 1)
     expected = ss.dense_schur_complement(R, 1)
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
@@ -65,39 +72,45 @@ def test_schur_update_reproduces_dense_schur_complement():
 def test_recover_column_after_one_step_matches_dense():
     gen, nodes = ss.random_cauchy_type(4, 2, seed=8)
     R = ss.materialize_cauchy(gen, nodes)
-    updated = _one_exact_step(gen, nodes)
-    col = ss.recover_column(updated, nodes, 1)
+    f = ss.gko_factor(gen, nodes, "none")
     expected = ss.dense_schur_complement(R, 1)[:, 0]
-    assert_allclose(col, expected, rtol=1e-11, atol=1e-14)
+    assert_allclose(f.L[1:, 1] * f.U[1, 1], expected, rtol=1e-11, atol=1e-14)
 
 
 def test_schur_update_zero_multipliers_leave_phi():
+    # a first column that is zero below the pivot gives zero multipliers, so
+    # the update leaves phi alone and the step-1 complement is R[1:, 1:]
     gen, nodes = ss.random_cauchy_type(5, 2, seed=9)
-    row = ss.recover_row(gen, nodes, 0)
-    updated = ss.schur_update(
-        gen, np.zeros(4), row[1:], gen.psi[:, 0], gen.phi[0], row[0], 0
-    )
-    assert_allclose(updated.phi[1:], gen.phi[1:], rtol=0, atol=0)
+    phi = gen.phi.copy()
+    phi[1:, 0] = 0.0
+    psi = gen.psi.copy()
+    psi[:, 0] = [1.0, 0.0]
+    gen = ss.GeneratorPair(phi=phi, psi=psi)
+    R = ss.materialize_cauchy(gen, nodes)
+    f = ss.gko_factor(gen, nodes, "none")
+    assert np.all(f.L[1:, 0] == 0)
+    assert np.linalg.norm(_trailing(f, 1) - R[1:, 1:]) <= 1e-13 * np.linalg.norm(R)
 
 
 def test_two_schur_updates_match_two_step_dense_complement():
     gen, nodes = ss.random_cauchy_type(6, 2, seed=10)
     R = ss.materialize_cauchy(gen, nodes)
-    step1 = _one_exact_step(gen, nodes)
-    col = ss.recover_column(step1, nodes, 1)
-    row = ss.recover_row(step1, nodes, 1)
-    step2 = ss.schur_update(
-        step1, col[1:] / col[0], row[1:], step1.psi[:, 1], step1.phi[1], col[0], 1
-    )
-    got = ss.materialize_cauchy(step2, nodes)[2:, 2:]
+    got = _trailing(ss.gko_factor(gen, nodes, "none"), 2)
     expected = ss.dense_schur_complement(R, 2)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_schur_update_rejects_zero_pivot():
-    gen, nodes = ss.random_cauchy_type(3, 1, seed=1)
+    # an exactly zero r_00 on a nonsingular matrix: only pivoting gets past it
+    gen, nodes = ss.random_cauchy_type(3, 2, seed=1)
+    psi = gen.psi.copy()
+    psi[:, 0] = [gen.phi[0, 1], -gen.phi[0, 0]]
+    gen = ss.GeneratorPair(phi=gen.phi, psi=psi)
     with pytest.raises(ss.SingularMatrixError):
-        ss.schur_update(gen, np.zeros(2), np.zeros(2), gen.psi[:, 0], gen.phi[0], 0.0, 0)
+        ss.gko_factor(gen, nodes, "none")
+    R = ss.materialize_cauchy(gen, nodes)
+    f = ss.gko_factor(gen, nodes, "partial")
+    assert np.linalg.norm(f.reconstruct() - R) <= 1e-12 * np.linalg.norm(R)
 
 
 def test_gko_factor_order_one():

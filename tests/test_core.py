@@ -1,53 +1,10 @@
-"""Tests for the shared domain types, norms, and Cauchy materialization."""
-
-import math
+"""Tests for the shared domain types and Cauchy materialization."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import structsolve as ss
-
-
-def test_frobenius_identity():
-    assert ss.frobenius_norm(np.eye(2)) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-
-
-def test_frobenius_zero():
-    assert ss.frobenius_norm(np.zeros((3, 3))) == 0.0
-
-
-def test_frobenius_matches_extended_precision_summation():
-    rng = np.random.default_rng(7)
-    m = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
-    # independent oracle: elementwise |.|^2 accumulated with exact float sums
-    expected = math.sqrt(math.fsum(abs(z) ** 2 for z in m.ravel()))
-    assert ss.frobenius_norm(m) == pytest.approx(expected, rel=1e-15)
-
-
-def test_apply_row_perm_identity():
-    m = np.arange(6.0).reshape(3, 2)
-    p = ss.Permutation.identity(3)
-    assert_allclose(ss.apply_row_perm(p, m), m)
-
-
-def test_apply_row_perm_swap():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    p = ss.Permutation(np.array([1, 0]))
-    assert_allclose(ss.apply_row_perm(p, m), [[3.0, 4.0], [1.0, 2.0]])
-
-
-def test_apply_row_perm_inverse_round_trip():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((7, 5))
-    p = ss.Permutation(rng.permutation(7))
-    out = ss.apply_row_perm(p.inverse(), ss.apply_row_perm(p, m))
-    assert np.array_equal(out, m)
-
-
-def test_apply_row_perm_size_mismatch():
-    with pytest.raises(ValueError):
-        ss.apply_row_perm(ss.Permutation.identity(3), np.zeros((4, 4)))
 
 
 def test_permutation_rejects_non_bijection():
@@ -117,6 +74,20 @@ def test_materialized_matrix_satisfies_sylvester_equation(n):
 def test_nodes_reject_exact_collision():
     with pytest.raises(ss.NodeCollisionError):
         ss.CauchyNodes(t=[1.0, 2.0], s=[2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "t, s",
+    [
+        ([np.nan, 1.0], [0.5, 2.0]),
+        ([1.0, 2.0], [0.5, np.inf]),
+        ([1.0, 2.0], [complex(0.0, np.nan), 3.0]),
+    ],
+    ids=["nan-t", "inf-s", "nan-imag-s"],
+)
+def test_nodes_reject_non_finite(t, s):
+    with pytest.raises(ValueError, match="finite"):
+        ss.CauchyNodes(t=t, s=s)
 
 
 def test_nodes_reject_near_collision():
