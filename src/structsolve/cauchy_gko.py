@@ -36,6 +36,16 @@ V_DEGENERATE_FLOOR = 1e-300
 #: orders above which the O(n^3) hatted-ratio diagnostic is skipped on "auto"
 HAT_RATIO_AUTO_LIMIT = 256
 
+# Rows per diagonal block of the triangular substitutions.  Each block costs
+# one BLAS product against the part already solved and one LAPACK LU solve of
+# the diagonal block, so a solve makes 2n/32 Python iterations instead of 2n.
+# LU with partial pivoting leaves an upper-triangular block as it is; on a
+# unit-lower block it may interchange rows, which keeps the block solve
+# backward stable.  That happens where |l_ij| > 1 (no pivoting, or a column
+# interchange under row-1/column-1) and, since LAPACK compares |Re| + |Im|,
+# even for complex |l_ij| <= 1.
+_SUB_BLOCK = 32
+
 
 class PivotStrategy(enum.Enum):
     NONE = "none"
@@ -316,27 +326,32 @@ def gko_factor(
 
 
 def _forward_sub(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    z = b.astype(complex).copy()
-    for i in range(L.shape[0]):
-        z[i] -= L[i, :i] @ z[:i]
-        z[i] /= L[i, i]
+    z = b.astype(complex)
+    for lo in range(0, L.shape[0], _SUB_BLOCK):
+        hi = lo + _SUB_BLOCK
+        z[lo:hi] -= L[lo:hi, :lo] @ z[:lo]
+        z[lo:hi] = np.linalg.solve(L[lo:hi, lo:hi], z[lo:hi])
     return z
 
 
 def _back_sub(U: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = U.shape[0]
     diag = np.abs(np.diag(U))
     if np.any(diag == 0.0):
         raise SingularMatrixError("zero diagonal in U")
-    z = b.astype(complex).copy()
-    for i in range(n - 1, -1, -1):
-        z[i] -= U[i, i + 1 :] @ z[i + 1 :]
-        z[i] /= U[i, i]
+    z = b.astype(complex)
+    for lo in reversed(range(0, U.shape[0], _SUB_BLOCK)):
+        hi = lo + _SUB_BLOCK
+        z[lo:hi] -= U[lo:hi, hi:] @ z[hi:]
+        z[lo:hi] = np.linalg.solve(U[lo:hi, lo:hi], z[lo:hi])
     return z
 
 
 def solve_with_factors(f: GKOFactorization, b) -> np.ndarray:
-    """Solve (P^T L U P'^T) x = b by permute, substitute twice, permute."""
+    """Solve (P^T L U P'^T) x = b by permute, substitute twice, permute.
+
+    ``b`` is one right-hand side of shape (n,) or several as the columns of
+    an (n, m) array.  Both substitutions run over 32-row diagonal blocks.
+    """
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != f.n:
         raise ValueError(f"factorization is order {f.n}, b has length {b.shape[0]}")

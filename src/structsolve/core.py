@@ -27,6 +27,10 @@ NODE_COLLISION_RTOL = 1e-14
 #: machine epsilon of float64, the unit of every n*eps threshold and bound
 EPS = float(np.finfo(float).eps)
 
+# rows of |t_i - s_j| held at once by _gap_extrema: 256 rows at n = 2048 take
+# about 17 MB of temporaries where the whole matrix takes about 100 MB
+_GAP_BLOCK_ROWS = 256
+
 
 class NodeCollisionError(ValueError):
     """Some t_i is (numerically) equal to some s_j, so entries of the
@@ -49,6 +53,16 @@ def _as_complex_matrix(m, name="matrix"):
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
     return arr
+
+
+def _gap_extrema(t: np.ndarray, s: np.ndarray) -> tuple[float, float]:
+    """min and max of |t_i - s_j| without forming the n-by-n gap matrix."""
+    lo, hi = np.inf, 0.0
+    for r in range(0, t.size, _GAP_BLOCK_ROWS):
+        block = np.abs(t[r : r + _GAP_BLOCK_ROWS, None] - s[None, :])
+        lo = min(lo, block.min())
+        hi = max(hi, block.max())
+    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -111,7 +125,7 @@ class CauchyNodes:
         if not (np.isfinite(t).all() and np.isfinite(s).all()):
             raise ValueError("node vectors must be finite")
         scale = max(np.abs(t).max(), np.abs(s).max(), 1.0)
-        gap = np.abs(t[:, None] - s[None, :]).min()
+        gap, _ = _gap_extrema(t, s)
         if gap < NODE_COLLISION_RTOL * scale:
             raise NodeCollisionError(
                 f"node collision: min |t_i - s_j| = {gap:.3e} "
@@ -145,6 +159,8 @@ class ToeplitzCoeffs:
         a = _as_complex_vector(self.a, "a")
         if a.size % 2 != 1:
             raise ValueError(f"need 2n-1 coefficients, got {a.size}")
+        if not np.isfinite(a).all():
+            raise ValueError("Toeplitz coefficients must be finite")
         object.__setattr__(self, "a", a)
 
     @property

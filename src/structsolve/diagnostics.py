@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy_gko import GKOFactorization, GrowthTrace, _v_ratio
-from .core import EPS, CauchyNodes, GeneratorPair, ToeplitzCoeffs, materialize_cauchy
+from .core import (
+    EPS,
+    CauchyNodes,
+    GeneratorPair,
+    ToeplitzCoeffs,
+    _gap_extrema,
+    materialize_cauchy,
+)
 from .oracle import dense_solve, dense_toeplitz
 from .toeplitz import ToeplitzFactorization
 
@@ -129,9 +136,9 @@ def growth_report(
         g2 = float(np.max(trace.hat_ratio[1:]))
     g3 = max(g1, g2) if not np.isnan(g2) else np.nan
 
-    agaps = np.abs(nodes.gaps())
-    b_max = float(1.0 / agaps.min())
-    b_min = float(1.0 / agaps.max())
+    gap_min, gap_max = _gap_extrema(nodes.t, nodes.s)
+    b_max = float(1.0 / gap_min)
+    b_min = float(1.0 / gap_max)
 
     lu = norm_l * norm_u
     bound_cauchy = EPS * (b_max / b_min * g1 + n * g2) * lu

@@ -51,8 +51,6 @@ def toeplitz_generators(c: ToeplitzCoeffs) -> GeneratorPair:
     The displacement rank is 2.
     """
     n = c.n
-    if n < 2:
-        raise ValueError("need order at least 2 for the cyclic-shift generators")
     a = c.a
     off = n - 1  # a_k lives at a[k + off]
     phi = np.zeros((n, 2), dtype=complex)
@@ -96,22 +94,22 @@ def toeplitz_factor(
 def toeplitz_solve(f: ToeplitzFactorization, b) -> np.ndarray:
     """Solve T x = b from the factorization T = F* P^T L U P'^T F D.
 
-    The returned vector is complex; for real systems its imaginary part is
-    rounding-level and is left to the caller to drop.
+    ``b`` is one right-hand side of shape (n,) or several as the columns of
+    an (n, m) array.  The result is complex; for real systems its imaginary
+    part is rounding-level and is left to the caller to drop.
     """
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != f.n:
         raise ValueError(f"factorization is order {f.n}, b has length {b.shape[0]}")
     y = solve_with_factors(f.inner, apply_F(f.plan, b))
     # x = D^* F^* y; D is unit-modulus so its inverse is the conjugate
-    return np.conj(f.d) * apply_F_inv(f.plan, y)
+    d_inv = np.conj(f.d) if b.ndim == 1 else np.conj(f.d)[:, None]
+    return d_inv * apply_F_inv(f.plan, y)
 
 
 def toeplitz_displacement(c: ToeplitzCoeffs) -> np.ndarray:
     """Dense displacement Z_1 T - T Z_-1 (rank at most 2), for testing."""
     n = c.n
-    if n < 2:
-        raise ValueError("need order at least 2")
     i = np.arange(n)
     T = c.a[(i[:, None] - i[None, :]) + n - 1]
     # Z_1 T cycles the rows down (last row wraps to the top with sign +1);

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import structsolve as ss
+from structsolve.oracle import DenseFactorization, _substitute
 
 
 def _ones_cauchy(t, s):
@@ -303,6 +304,48 @@ def test_solve_zero_diagonal_raises():
     f.U[1, 1] = 0.0
     with pytest.raises(ss.SingularMatrixError):
         ss.solve_with_factors(f, np.ones(3))
+
+
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 65, 100])
+def test_blocked_solve_across_block_edges(n, strategy):
+    gen, nodes = ss.random_cauchy_type(n, 2, seed=n)
+    R = ss.materialize_cauchy(gen, nodes)
+    b = R @ (np.linspace(1.0, 2.0, n) + 0.5j)
+    f = ss.gko_factor(gen, nodes, strategy)
+    x = ss.solve_with_factors(f, b)
+    # without pivoting |l_ij| grows, and the residual with it
+    tol = 1e-10 if strategy == "none" else 1e-13
+    assert np.linalg.norm(R @ x - b) <= tol * np.linalg.norm(b)
+    x_dense = ss.dense_solve(R, b)
+    assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
+    # row-by-row substitution on the same factors, by the oracle's loop
+    same_factors = DenseFactorization(perm=f.row_perm, L=f.L, U=f.U, pivots=[])
+    x_rows = _substitute(same_factors, b)[f.col_perm.idx]
+    assert np.linalg.norm(x - x_rows) <= 1e-12 * np.linalg.norm(x_rows)
+
+
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+def test_solve_several_right_hand_sides_matches_one_at_a_time(strategy):
+    n = 65
+    gen, nodes = ss.random_cauchy_type(n, 2, seed=7)
+    f = ss.gko_factor(gen, nodes, strategy)
+    B = np.random.default_rng(1).uniform(-1.0, 1.0, (n, 3))
+    X = ss.solve_with_factors(f, B)
+    assert X.shape == (n, 3)
+    for j in range(3):
+        x = ss.solve_with_factors(f, B[:, j])
+        assert_allclose(X[:, j], x, rtol=0, atol=1e-13 * np.abs(x).max())
+
+
+@pytest.mark.parametrize("k", [40, 99], ids=["middle-block", "last-block"])
+def test_solve_zero_diagonal_in_later_block_raises(k):
+    f = ss.gko_factor(*ss.random_cauchy_type(100, 2, seed=3), "partial")
+    f.U[k, k] = 0.0
+    with pytest.raises(ss.SingularMatrixError, match="zero diagonal"):
+        ss.solve_with_factors(f, np.ones(100))
+    with pytest.raises(ss.SingularMatrixError, match="zero diagonal"):
+        ss.solve_with_factors(f, np.ones((100, 2)))
 
 
 def test_cauchy_solve_order_one():

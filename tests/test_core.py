@@ -90,6 +90,16 @@ def test_nodes_reject_non_finite(t, s):
         ss.CauchyNodes(t=t, s=s)
 
 
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, complex(1.0, np.nan)], ids=["nan", "inf", "nan-imag"]
+)
+def test_toeplitz_coeffs_reject_non_finite(bad):
+    a = np.ones(15, dtype=complex)
+    a[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ss.ToeplitzCoeffs(a=a)
+
+
 def test_nodes_reject_near_collision():
     with pytest.raises(ss.NodeCollisionError):
         ss.CauchyNodes(t=[1.0, 2.0], s=[1.0 + 1e-16, 5.0])

@@ -52,9 +52,17 @@ def test_generators_satisfy_displacement_equation():
     assert np.linalg.norm(resid) <= 1e-13 * np.linalg.norm(T)
 
 
-def test_generators_reject_order_one():
-    with pytest.raises(ValueError):
-        ss.toeplitz_generators(ss.ToeplitzCoeffs(a=np.array([2.0])))
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+def test_order_one_solve(strategy):
+    # the 1x1 matrix [2+i]: Z_1 = [1] and Z_-1 = [-1], so its displacement
+    # is 2 a_0, and (2+i) x = 4+2i has x = 2
+    coeffs = ss.ToeplitzCoeffs(a=np.array([2.0 + 1.0j]))
+    gen = ss.toeplitz_generators(coeffs)
+    assert_allclose(gen.phi @ gen.psi, [[4.0 + 2.0j]], rtol=0, atol=1e-15)
+    assert_allclose(ss.toeplitz_displacement(coeffs), gen.phi @ gen.psi, rtol=0, atol=1e-15)
+    x = ss.toeplitz_solve(ss.toeplitz_factor(coeffs, strategy), [4.0 + 2.0j])
+    assert x.shape == (1,)
+    assert abs(x[0] - 2.0) <= 4 * np.finfo(float).eps
 
 
 def test_to_cauchy_first_generator_column_is_flat():
@@ -136,6 +144,21 @@ def test_solve_all_ones_experiment_input_runs():
     f = ss.toeplitz_factor(coeffs, "row1col1")
     x = ss.toeplitz_solve(f, np.ones(8))
     assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+def test_solve_several_right_hand_sides_matches_one_at_a_time(strategy):
+    n = 65
+    coeffs = ss.random_toeplitz(n, seed=65)
+    B = np.random.default_rng(0).uniform(-1.0, 1.0, (n, 3))
+    f = ss.toeplitz_factor(coeffs, strategy)
+    X = ss.toeplitz_solve(f, B)
+    assert X.shape == (n, 3)
+    for j in range(3):
+        x = ss.toeplitz_solve(f, B[:, j])
+        assert_allclose(X[:, j], x, rtol=0, atol=1e-13 * np.abs(x).max())
+    T = ss.dense_toeplitz(coeffs)
+    assert np.linalg.norm(T @ X - B) <= 1e-10 * np.linalg.norm(B)
 
 
 def test_solve_rejects_wrong_length():
