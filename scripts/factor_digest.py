@@ -1,0 +1,116 @@
+"""Print one SHA-256 digest per factorization of a fixed corpus.
+
+Run from any directory; it imports structsolve from the ``src/`` next to
+this script:
+
+    python scripts/factor_digest.py > digests.txt
+
+Running it in two checkouts and diffing the output shows whether a change
+kept the factorizations bit-identical.  Each line is ``<label> <digest>``.
+A digest covers L, U, ``row_perm``, ``col_perm``, every ``GrowthTrace``
+field, every ``growth_report`` field and ``v_matrix`` of the factored
+generators.  The corpus is 149 instances under each of the strategies
+none, partial and row1col1 (447 factorizations):
+
+- the 100 random Cauchy-type instances of acceptance criterion 1;
+- the 25 random instances of the row-1/column-1 dense replay test;
+- ``adversarial_toeplitz`` for n in {8, 64, 256} and delta in
+  {1e-2, 1e-6, 1e-8, 1e-12};
+- ``cancellation_cauchy`` for n in {8, 64, 256} and f_norm in
+  {1e-2, 1e-6, 1e-10}, seed 3;
+- ``random_toeplitz(n, seed=n)`` for n in {300, 1024, 2048}.
+
+Then follow 24 lines for 8 inputs that are singular or have an exactly
+zero (1, 1) entry, under each strategy.  A factorization that raises
+``SingularMatrixError`` prints the error message instead of a digest.
+
+The digests depend on the BLAS in use, so compare two checkouts only on
+the same machine and numpy.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import structsolve as ss  # noqa: E402
+
+STRATEGIES = ("none", "partial", "row1col1")
+
+
+def corpus():
+    """(label, generators, nodes) of the 149 instances, in a fixed order."""
+    for i in range(100):
+        shape_rng = np.random.default_rng(1000 + i)
+        n = int(shape_rng.integers(2, 17))
+        alpha = int(shape_rng.integers(1, 5))
+        yield (f"criterion1[{i}]", *ss.random_cauchy_type(n, alpha, seed=2000 + i))
+    for i in range(25):
+        shape_rng = np.random.default_rng(77_000 + i)
+        n = int(shape_rng.integers(2, 13))
+        alpha = int(shape_rng.integers(1, 5))
+        yield (f"replay[{i}]", *ss.random_cauchy_type(n, alpha, seed=88_000 + i))
+    for n in (8, 64, 256):
+        for delta in (1e-2, 1e-6, 1e-8, 1e-12):
+            c = ss.adversarial_toeplitz(ss.AdversarialSpec(n=n, delta=delta))
+            gen = ss.toeplitz_generators(c)
+            yield (f"adversarial n={n} delta={delta:g}", *ss.to_cauchy_generators(gen))
+    for n in (8, 64, 256):
+        for f_norm in (1e-2, 1e-6, 1e-10):
+            yield (f"cancellation n={n} f_norm={f_norm:g}", *ss.cancellation_cauchy(n, f_norm, 3))
+    for n in (300, 1024, 2048):
+        gen = ss.toeplitz_generators(ss.random_toeplitz(n, seed=n))
+        yield (f"random_toeplitz n={n}", *ss.to_cauchy_generators(gen))
+
+
+def singular_corpus():
+    """8 inputs: 2 rank-deficient, 6 with an exactly zero (1, 1) entry."""
+    for n in (4, 64):
+        a = np.linspace(0.5, 1.0, n)
+        gen = ss.GeneratorPair(phi=np.stack([a, a], axis=1), psi=np.stack([a, -a], axis=0))
+        yield f"rank-deficient n={n}", gen, ss.random_cauchy_type(n, 1, seed=0)[1]
+    for n in (3, 8, 16, 64, 256, 1024):
+        gen, nodes = ss.random_cauchy_type(n, 2, seed=1)
+        psi = gen.psi.copy()
+        psi[:, 0] = [gen.phi[0, 1], -gen.phi[0, 0]]
+        yield f"zero r00 n={n}", ss.GeneratorPair(phi=gen.phi, psi=psi), nodes
+
+
+def _update(h, value) -> None:
+    if isinstance(value, ss.Permutation):
+        value = value.idx
+    h.update(np.ascontiguousarray(value).tobytes())
+
+
+def digest(gen, nodes, strategy) -> str:
+    try:
+        f = ss.gko_factor(gen, nodes, strategy)
+    except ss.SingularMatrixError as exc:
+        return f"SingularMatrixError: {exc}"
+    h = hashlib.sha256()
+    for value in (f.L, f.U, f.row_perm, f.col_perm):
+        _update(h, value)
+    for fld in fields(f.trace):
+        _update(h, getattr(f.trace, fld.name))
+    for value in ss.growth_report(f.trace, f, nodes).to_dict().values():
+        _update(h, np.float64(value))
+    _update(h, ss.v_matrix(gen))
+    return h.hexdigest()
+
+
+def main() -> int:
+    for source in (corpus(), singular_corpus()):
+        for label, gen, nodes in source:
+            for strategy in STRATEGIES:
+                print(f"{label} {strategy} {digest(gen, nodes, strategy)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

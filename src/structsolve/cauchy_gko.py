@@ -134,37 +134,44 @@ class GKOFactorization:
         return out
 
 
-def _recover(phi, psi, t, s, k, axis, head=None):
-    """Step-k column (axis 0) or row (axis 1) of the reduced matrix, k..n-1.
+def _column_parts(phi, psi, t, s, k):
+    """Numerators phi_j psi_k and gaps t_j - s_k of the step-k column, j >= k.
 
-    ``head`` overwrites entry 0, the diagonal both share; the row leaves it
-    to the caller and recovers only k+1..n-1.  BLAS may round an entry
-    differently when its slice starts elsewhere, so these operand shapes are
-    part of what keeps the factors reproducible.
+    The column is their quotient; the numerators are also the V-column
+    denominators and the gaps weight the hatted L column, so one recovery
+    serves all three.
     """
-    if axis == 0:
-        out = (phi[k:] @ psi[:, k]) / (t[k:] - s[k])
-    else:
-        out = np.empty(phi.shape[0] - k, dtype=complex)
-        out[1:] = (phi[k] @ psi[:, k + 1 :]) / (t[k] - s[k + 1 :])
-    if head is not None:
-        out[0] = head
+    return phi[k:] @ psi[:, k], t[k:] - s[k]
+
+
+def _recover_row(phi, psi, t, s, k, head, out):
+    """Write the step-k row of the reduced matrix, k..n-1, into ``out``.
+
+    Entry 0 is set to ``head``: the diagonal is the column's, so only
+    k+1..n-1 is recovered.  BLAS may round an entry differently when its
+    slice starts elsewhere, so this operand shape is part of what keeps the
+    factors reproducible.
+    """
+    out[0] = head
+    np.divide(phi[k] @ psi[:, k + 1 :], t[k] - s[k + 1 :], out=out[1:])
     return out
 
 
 def _schur_update_inplace(phi, psi, l_tail, u_tail, u_kk, k):
     # the Schur-complement generator recursion:
     #   psi_j <- psi_j - psi_k u_kj / u_kk,   phi_j <- phi_j - l_jk phi_k
-    psi[:, k + 1 :] -= np.outer(psi[:, k], u_tail / u_kk)
-    phi[k + 1 :] -= np.outer(l_tail, phi[k])
-    phi[k] = 0.0
-    psi[:, k] = 0.0
+    # for j > k; later steps never read generator k again
+    psi[:, k + 1 :] -= psi[:, k, None] * (u_tail / u_kk)
+    phi[k + 1 :] -= l_tail[:, None] * phi[k]
 
 
 def _v_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Elementwise |phi||psi| / (phi psi); degenerate denominators go to inf."""
+    mag = np.abs(den)
+    if mag.min(initial=np.inf) >= V_DEGENERATE_FLOOR:
+        return num / den
     out = np.full(den.shape, np.inf + 0j, dtype=complex)
-    ok = np.abs(den) >= V_DEGENERATE_FLOOR
+    ok = mag >= V_DEGENERATE_FLOOR
     out[ok] = num[ok] / den[ok]
     return out
 
@@ -218,7 +225,9 @@ def gko_factor(
     psi = gen.psi.copy()
     t = nodes.t.copy()
     s = nodes.s.copy()
-    L = np.zeros((n, n), dtype=complex)
+    # interchanges move only the finished columns 0..k-1 of L, so the unit
+    # diagonal can be written up front
+    L = np.eye(n, dtype=complex)
     U = np.zeros((n, n), dtype=complex)
     pidx = np.arange(n)
     cidx = np.arange(n)
@@ -237,36 +246,52 @@ def gko_factor(
         if hat_ratios:
             hat_ratio[k] = _hat_ratio(phi, psi, t, s, k)
 
-        col = _recover(phi, psi, t, s, k, 0)
+        cnum, cgap = _column_parts(phi, psi, t, s, k)
+        col = cnum / cgap
         col_mag = np.abs(col)
-        cand_max = col_mag.max()
+        q = int(col_mag.argmax())
+        cand_max = col_mag[q]
         axis, p = 0, k
         if strategy is not PivotStrategy.NONE:
-            p = k + int(np.argmax(col_mag))
+            p = k + q
         if strategy is PivotStrategy.ROW1_COL1:
             # the diagonal entry belongs to both candidate sets; reuse the
             # column's value bitwise so a duplicate recovery cannot break the
             # row-preferred tie rule by one ulp
-            row = _recover(phi, psi, t, s, k, 1, head=col[0])
+            row = _recover_row(phi, psi, t, s, k, col[0], U[k, k:])
             row_mag = np.abs(row)
-            cand_max = max(cand_max, row_mag.max())
-            p_row = k + int(np.argmax(row_mag))
-            if abs(row[p_row - k]) > abs(col[p - k]):
-                axis, p = 1, p_row
+            q_row = int(row_mag.argmax())
+            cand_max = max(cand_max, row_mag[q_row])
+            if abs(row[q_row]) > abs(col[p - k]):
+                axis, p = 1, k + q_row
 
         # a column interchange on R is a row interchange on R^T, whose nodes
         # are (-s, -t) and generators (psi^T, phi^T): swapping rows of the
         # transposed views of s, psi and the finished rows of U is the same
-        # block as a row interchange
-        own = col if axis == 0 else row
+        # block as a row interchange.  The column's numerators and gaps move
+        # with its entries.
         if p != k:
-            swapped = (t, phi, L[:, :k], pidx) if axis == 0 else (s, psi.T, U.T[:, :k], cidx)
-            for a in swapped:
-                a[[k, p]] = a[[p, k]]
-            own[[0, p - k]] = own[[p - k, 0]]
-        u_kk = own[0]
-        other = _recover(phi, psi, t, s, k, 1 - axis, head=u_kk)
-        col, row = (own, other) if axis == 0 else (other, own)
+            if axis == 0:
+                node, perm, gens, done, own = t, pidx, phi, L[:, :k], (col, cnum, cgap)
+            else:
+                node, perm, gens, done, own = s, cidx, psi.T, U.T[:, :k], (row,)
+            node[k], node[p] = node[p], node[k]
+            perm[k], perm[p] = perm[p], perm[k]
+            # basic indexing: an index-array swap costs more than the copy
+            for rows in (gens, done):
+                swap = rows[k].copy()
+                rows[k] = rows[p]
+                rows[p] = swap
+            for vec in own:
+                vec[0], vec[p - k] = vec[p - k], vec[0]
+        if axis == 0:
+            u_kk = col[0]
+            row = _recover_row(phi, psi, t, s, k, u_kk, U[k, k:])
+        else:
+            u_kk = row[0]
+            cnum, cgap = _column_parts(phi, psi, t, s, k)
+            col = cnum / cgap
+            col[0] = u_kk
         piv_index[k] = p
         piv_is_col[k] = axis == 1
 
@@ -280,27 +305,26 @@ def gko_factor(
         # V statistics at the (pivoted) step-k generators, before the update
         num_col = np.abs(phi[k:]) @ np.abs(psi[:, k])
         num_row = np.abs(phi[k]) @ np.abs(psi[:, k:])
-        vcol = _v_ratio(num_col, phi[k:] @ psi[:, k])
+        vcol = _v_ratio(num_col, cnum)
         vrow = _v_ratio(num_row, phi[k] @ psi[:, k:])
         v_col_max[k] = np.abs(vcol).max()
         v_row_max[k] = np.abs(vrow).max()
         v_kk[k] = vcol[0]
 
-        L[k, k] = 1.0
         l_tail = col[1:] / u_kk
         L[k + 1 :, k] = l_tail
-        U[k, k:] = row
 
         # |v_jk l_jk| = num_col_j / (|t_j - s_k| |u_kk|) and |v_kj u_kj| =
         # num_row_j / |t_k - s_j|: the V denominator cancels against the
         # recovered entry, so degenerate ratios never reach these norms
-        gap_col = np.abs(t[k + 1 :] - s[k])
-        gap_row = np.abs(t[k] - s[k:])
+        gap_col = np.abs(cgap[1:])
         hat_l[k] = np.sqrt(
             abs(v_kk[k]) ** 2
-            + np.sum((num_col[1:] / (gap_col * abs(u_kk))) ** 2)
+            + ((num_col[1:] / (gap_col * abs(u_kk))) ** 2).sum()
         )
-        hat_u[k] = np.linalg.norm(num_row / gap_row)
+        # sqrt(y . y) is what np.linalg.norm computes for a real vector
+        hat_row = num_row / np.abs(t[k] - s[k:])
+        hat_u[k] = np.sqrt(hat_row.dot(hat_row))
 
         _schur_update_inplace(phi, psi, l_tail, row[1:], u_kk, k)
 

@@ -7,7 +7,7 @@ real: the simplicity is worth the memory even at orders in the thousands
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +72,7 @@ class GeneratorPair:
     ``phi`` is n-by-alpha, ``psi`` is alpha-by-n, and the displacement of the
     represented matrix equals ``phi @ psi``.  The displacement rank ``alpha``
     is small for structured matrices (2 for Toeplitz, 1 for plain Cauchy).
+    Construction rejects non-finite entries.
     """
 
     phi: np.ndarray
@@ -90,6 +91,8 @@ class GeneratorPair:
             raise ValueError(
                 f"phi is for order {phi.shape[0]} but psi is for order {psi.shape[1]}"
             )
+        if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
+            raise ValueError("generators must be finite")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "psi", psi)
 
@@ -109,11 +112,13 @@ class CauchyNodes:
     Construction rejects non-finite nodes and node collisions: if
     ``min |t_i - s_j|`` falls below ``1e-14 * max(|t|, |s|, 1)`` the
     represented matrix has entries that are not recoverable from generators,
-    and such inputs are refused outright.
+    and such inputs are refused outright.  ``gap_extrema`` keeps the
+    ``(min, max)`` of ``|t_i - s_j|`` that this check computes.
     """
 
     t: np.ndarray
     s: np.ndarray
+    gap_extrema: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = _as_complex_vector(self.t, "t")
@@ -125,14 +130,15 @@ class CauchyNodes:
         if not (np.isfinite(t).all() and np.isfinite(s).all()):
             raise ValueError("node vectors must be finite")
         scale = max(np.abs(t).max(), np.abs(s).max(), 1.0)
-        gap, _ = _gap_extrema(t, s)
-        if gap < NODE_COLLISION_RTOL * scale:
+        gap_min, gap_max = _gap_extrema(t, s)
+        if gap_min < NODE_COLLISION_RTOL * scale:
             raise NodeCollisionError(
-                f"node collision: min |t_i - s_j| = {gap:.3e} "
+                f"node collision: min |t_i - s_j| = {gap_min:.3e} "
                 f"below {NODE_COLLISION_RTOL:.0e} * {scale:.3e}"
             )
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s", s)
+        object.__setattr__(self, "gap_extrema", (gap_min, gap_max))
 
     @property
     def n(self) -> int:

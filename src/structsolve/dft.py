@@ -11,6 +11,7 @@ in numpy's convention and F* = F^{-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,18 +66,24 @@ def apply_F_inv(plan: DftPlan, v) -> np.ndarray:
     return np.fft.fft(arr, axis=0) / np.sqrt(plan.n)
 
 
+@lru_cache(maxsize=8)
 def toeplitz_cauchy_nodes(n: int) -> CauchyNodes:
     """Displacement nodes of the Toeplitz-derived Cauchy-type matrix.
 
     t_k = exp(2 pi i k / n) are the n-th roots of unity and
     s_k = exp(pi i (2k+1) / n) the n-th roots of -1 (k = 0..n-1); each s sits
     on the unit circle halfway between two neighbouring t's.
+
+    The nodes of the last eight orders are cached, so one order's O(n^2)
+    collision check runs once; the returned ``t`` and ``s`` are read-only.
     """
     if n < 1:
         raise ValueError("order must be positive")
     k = np.arange(n)
     t = np.exp(2j * np.pi * k / n)
     s = np.exp(1j * np.pi * (2 * k + 1) / n)
+    t.flags.writeable = False
+    s.flags.writeable = False
     return CauchyNodes(t=t, s=s)
 
 

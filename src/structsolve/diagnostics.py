@@ -22,7 +22,6 @@ from .core import (
     CauchyNodes,
     GeneratorPair,
     ToeplitzCoeffs,
-    _gap_extrema,
     materialize_cauchy,
 )
 from .oracle import dense_solve, dense_toeplitz
@@ -136,7 +135,7 @@ def growth_report(
         g2 = float(np.max(trace.hat_ratio[1:]))
     g3 = max(g1, g2) if not np.isnan(g2) else np.nan
 
-    gap_min, gap_max = _gap_extrema(nodes.t, nodes.s)
+    gap_min, gap_max = nodes.gap_extrema
     b_max = float(1.0 / gap_min)
     b_min = float(1.0 / gap_max)
 

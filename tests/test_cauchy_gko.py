@@ -140,6 +140,53 @@ def test_gko_factor_cancellation_growth_shows_in_trace():
 
 
 @pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+def test_gko_factor_flags_degenerate_v_entry(strategy):
+    # phi row [1, 1] against psi column [1, -1]: the step-0 column has an
+    # exactly zero numerator below the pivot, so its V entry is degenerate
+    phi = np.array([[2.0, 0.0], [1.0, 1.0], [1.0, 0.5]])
+    psi = np.array([[1.0, 1.0, 1.0], [-1.0, 0.5, 2.0]])
+    gen = ss.GeneratorPair(phi=phi, psi=psi)
+    nodes = ss.CauchyNodes(t=[1.0, 2.0, 3.0], s=[0.5, 1.5, 2.5])
+    f = ss.gko_factor(gen, nodes, strategy)
+    assert f.trace.pivot_index[0] == 0
+    assert np.isinf(f.trace.v_col_max[0])
+    assert f.trace.degenerate
+    assert np.all(np.isfinite(f.L)) and np.all(np.isfinite(f.U))
+    assert np.all(np.isfinite(f.trace.hat_l_col)) and np.all(np.isfinite(f.trace.hat_u_row))
+    R = ss.materialize_cauchy(gen, nodes)
+    assert np.linalg.norm(f.reconstruct() - R) <= 1e-14 * np.linalg.norm(R)
+
+
+def _v_ratio_reference(num, den):
+    out = np.empty(den.shape, dtype=complex)
+    for i in np.ndindex(den.shape):
+        out[i] = np.inf if abs(den[i]) < 1e-300 else complex(num[i]) / complex(den[i])
+    return out
+
+
+@pytest.mark.parametrize(
+    "den",
+    [
+        [2.0, -1j, 3.0 + 4.0j, 1e-300],
+        [2.0, -1j, 3.0 + 4.0j, 1e-301j],
+        [2.0, 0.0, 3.0 + 4.0j, 1.0],
+        [[1.0, -2.0], [4.0, 5e-301 + 5e-301j]],
+        [[1.0, -2.0], [0.5j, 4.0]],
+        np.zeros(0),
+    ],
+    ids=["floor", "sub-floor", "zero", "2d-sub-floor", "2d", "empty"],
+)
+def test_v_ratio_matches_elementwise_reference(den):
+    from structsolve.cauchy_gko import _v_ratio
+
+    den = np.asarray(den, dtype=complex)
+    num = np.arange(1.0, den.size + 1.0).reshape(den.shape)
+    got = _v_ratio(num, den)
+    assert got.shape == den.shape and got.dtype == complex
+    assert_allclose(got, _v_ratio_reference(num, den), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
 def test_factorization_identity_all_strategies(strategy):
     for n, seed in ((3, 0), (16, 1), (64, 2)):
         gen, nodes = ss.random_cauchy_type(n, alpha=2, seed=seed)

@@ -91,6 +91,34 @@ def test_nodes_reject_non_finite(t, s):
 
 
 @pytest.mark.parametrize(
+    "phi, psi",
+    [
+        ([[1.0], [np.nan], [2.0]], [[1.0, 1.0, 1.0]]),
+        ([[1.0], [3.0], [2.0]], [[1.0, np.inf, 1.0]]),
+        ([[1.0], [3.0], [2.0]], [[1.0, 1.0, complex(1.0, np.nan)]]),
+    ],
+    ids=["nan-phi", "inf-psi", "nan-imag-psi"],
+)
+def test_generators_reject_non_finite(phi, psi):
+    # a NaN generator entry used to reach gko_factor, which picked the NaN
+    # row as its pivot and returned NaN factors
+    with pytest.raises(ValueError, match="finite"):
+        ss.GeneratorPair(phi=phi, psi=psi)
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+@pytest.mark.parametrize("kind", ["random", "toeplitz"])
+def test_nodes_keep_their_gap_extrema(kind, n):
+    # 300 rows span two blocks of the row-blocked scan
+    if kind == "random":
+        _, nodes = ss.random_cauchy_type(n, 1, seed=n)
+    else:
+        nodes = ss.toeplitz_cauchy_nodes(n)
+    gaps = np.abs(nodes.gaps())
+    assert nodes.gap_extrema == (gaps.min(), gaps.max())
+
+
+@pytest.mark.parametrize(
     "bad", [np.nan, np.inf, complex(1.0, np.nan)], ids=["nan", "inf", "nan-imag"]
 )
 def test_toeplitz_coeffs_reject_non_finite(bad):

@@ -76,6 +76,21 @@ def test_toeplitz_cauchy_nodes_order_two():
     assert_allclose(nodes.s, [1j, -1j], atol=1e-15)
 
 
+def test_toeplitz_cauchy_nodes_are_cached_and_read_only():
+    nodes = ss.toeplitz_cauchy_nodes(12)
+    assert ss.toeplitz_cauchy_nodes(12) is nodes
+    assert ss.toeplitz_cauchy_nodes(13) is not nodes
+    for v in (nodes.t, nodes.s):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0.0
+    # gko_factor permutes its own copies, never the cached nodes
+    gen, _ = ss.to_cauchy_generators(ss.toeplitz_generators(ss.random_toeplitz(12, seed=1)))
+    t, s = nodes.t.copy(), nodes.s.copy()
+    f = ss.gko_factor(gen, nodes, "row1col1")
+    assert not (f.row_perm.is_identity() and f.col_perm.is_identity())
+    assert np.array_equal(nodes.t, t) and np.array_equal(nodes.s, s)
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
 def test_node_gap_geometry(n):
     # the closest t/s pair sits one half-step apart on the circle, so the

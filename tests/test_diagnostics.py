@@ -60,6 +60,23 @@ def test_growth_report_toeplitz_nodes_spread():
     assert rep.bmax_over_bmin < 2 * 8 / np.pi
 
 
+@pytest.mark.parametrize("kind", ["random", "toeplitz"])
+def test_growth_report_node_spread_is_the_gap_extrema(kind):
+    # b_max and b_min come from the extrema CauchyNodes kept at construction;
+    # they must equal the reciprocals of the full gap matrix's extrema
+    n = 300
+    if kind == "random":
+        gen, nodes = ss.random_cauchy_type(n, 2, seed=4)
+    else:
+        coeffs = ss.random_toeplitz(n, seed=4)
+        gen, nodes = ss.to_cauchy_generators(ss.toeplitz_generators(coeffs))
+    f = ss.gko_factor(gen, nodes, "partial")
+    rep = ss.growth_report(f.trace, f, nodes)
+    gaps = np.abs(nodes.gaps())
+    assert rep.b_max == 1.0 / gaps.min()
+    assert rep.b_min == 1.0 / gaps.max()
+
+
 def test_growth_report_adversarial_growth():
     coeffs = ss.adversarial_toeplitz(ss.AdversarialSpec(n=8, delta=1e-4))
     f = ss.toeplitz_factor(coeffs, "partial")
