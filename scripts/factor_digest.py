@@ -20,9 +20,12 @@ none, partial and row1col1 (447 factorizations):
   {1e-2, 1e-6, 1e-10}, seed 3;
 - ``random_toeplitz(n, seed=n)`` for n in {300, 1024, 2048}.
 
-Then follow 24 lines for 8 inputs that are singular or have an exactly
-zero (1, 1) entry, under each strategy.  A factorization that raises
-``SingularMatrixError`` prints the error message instead of a digest.
+All of these use the default ``hat_ratios="auto"``, which skips the hatted
+norm ratio above n = 256.  Three lines follow for ``random_toeplitz(300,
+seed=300)`` with ``hat_ratios=True``, one per strategy.  Then follow 24
+lines for 8 inputs that are singular or have an exactly zero (1, 1) entry,
+under each strategy.  A factorization that raises ``SingularMatrixError``
+prints the error message instead of a digest.
 
 The digests depend on the BLAS in use, so compare two checkouts only on
 the same machine and numpy.
@@ -69,6 +72,12 @@ def corpus():
         yield (f"random_toeplitz n={n}", *ss.to_cauchy_generators(gen))
 
 
+def hat_ratio_corpus():
+    """The order-300 Toeplitz instance again, to factor with hat ratios on."""
+    gen = ss.toeplitz_generators(ss.random_toeplitz(300, seed=300))
+    yield ("random_toeplitz n=300 hat_ratios=True", *ss.to_cauchy_generators(gen))
+
+
 def singular_corpus():
     """8 inputs: 2 rank-deficient, 6 with an exactly zero (1, 1) entry."""
     for n in (4, 64):
@@ -88,9 +97,9 @@ def _update(h, value) -> None:
     h.update(np.ascontiguousarray(value).tobytes())
 
 
-def digest(gen, nodes, strategy) -> str:
+def digest(gen, nodes, strategy, hat_ratios) -> str:
     try:
-        f = ss.gko_factor(gen, nodes, strategy)
+        f = ss.gko_factor(gen, nodes, strategy, hat_ratios)
     except ss.SingularMatrixError as exc:
         return f"SingularMatrixError: {exc}"
     h = hashlib.sha256()
@@ -105,10 +114,12 @@ def digest(gen, nodes, strategy) -> str:
 
 
 def main() -> int:
-    for source in (corpus(), singular_corpus()):
+    sources = ((corpus(), "auto"), (hat_ratio_corpus(), True), (singular_corpus(), "auto"))
+    for source, hat_ratios in sources:
         for label, gen, nodes in source:
             for strategy in STRATEGIES:
-                print(f"{label} {strategy} {digest(gen, nodes, strategy)}", flush=True)
+                line = digest(gen, nodes, strategy, hat_ratios)
+                print(f"{label} {strategy} {line}", flush=True)
     return 0
 
 

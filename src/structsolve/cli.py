@@ -95,7 +95,7 @@ def _matrix(data, name):
 
 def _encode(obj):
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_encode(obj.real), _encode(obj.imag)]
     if isinstance(obj, np.ndarray):
         return [_encode(x) for x in obj.tolist()]
     if isinstance(obj, list):
@@ -130,8 +130,8 @@ def _load_system(path):
             raise InputError(
                 f"declared n={spec['n']} but {a.size} coefficients imply n={coeffs.n}"
             )
-        return "toeplitz", coeffs, b
-    if "cauchy" in doc:
+        kind, payload, n = "toeplitz", coeffs, coeffs.n
+    elif "cauchy" in doc:
         spec = doc["cauchy"]
         if not isinstance(spec, dict):
             raise InputError("'cauchy' must be an object")
@@ -146,8 +146,12 @@ def _load_system(path):
             raise InputError(str(exc)) from exc
         if gen.n != nodes.n:
             raise InputError(f"generators order {gen.n} but nodes order {nodes.n}")
-        return "cauchy", (gen, nodes), b
-    raise InputError("system file needs a 'toeplitz' or 'cauchy' entry")
+        kind, payload, n = "cauchy", (gen, nodes), nodes.n
+    else:
+        raise InputError("system file needs a 'toeplitz' or 'cauchy' entry")
+    if b is not None and b.size != n:
+        raise InputError(f"'b' has length {b.size} but the system is order {n}")
+    return kind, payload, b
 
 
 def _write(payload: str, out_path):
@@ -162,6 +166,14 @@ def _default_seed() -> int:
     return int(os.environ.get("STRUCTSOLVE_SEED", "0"))
 
 
+def _solve_or_input_error(solve, f, b):
+    # the solvers reject a non-finite b with ValueError
+    try:
+        return solve(f, b)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _cmd_solve(args) -> int:
     kind, payload, b = _load_system(args.input)
     if b is None:
@@ -169,12 +181,12 @@ def _cmd_solve(args) -> int:
     strategy = PivotStrategy.coerce(args.strategy)
     if kind == "toeplitz":
         f = toeplitz_factor(payload, strategy)
-        x = toeplitz_solve(f, b)
+        x = _solve_or_input_error(toeplitz_solve, f, b)
         report = solve_quality(payload, b, x)
     else:
         gen, nodes = payload
         f = gko_factor(gen, nodes, strategy)
-        x = solve_with_factors(f, b)
+        x = _solve_or_input_error(solve_with_factors, f, b)
         R = materialize_cauchy(gen, nodes)
         x_oracle = dense_solve(R, b)
         report = BackwardErrorReport(

@@ -385,6 +385,16 @@ def test_solve_several_right_hand_sides_matches_one_at_a_time(strategy):
         assert_allclose(X[:, j], x, rtol=0, atol=1e-13 * np.abs(x).max())
 
 
+@pytest.mark.parametrize("shape", [(5,), (5, 2)], ids=["one-rhs", "two-rhs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_solve_rejects_non_finite_rhs(shape, bad):
+    f = ss.gko_factor(*ss.random_cauchy_type(5, 2, seed=4), "partial")
+    b = np.ones(shape, dtype=complex)
+    b[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ss.solve_with_factors(f, b)
+
+
 @pytest.mark.parametrize("k", [40, 99], ids=["middle-block", "last-block"])
 def test_solve_zero_diagonal_in_later_block_raises(k):
     f = ss.gko_factor(*ss.random_cauchy_type(100, 2, seed=3), "partial")
@@ -435,3 +445,39 @@ def test_hat_ratio_auto_skips_large_orders():
     assert np.all(np.isnan(f.trace.hat_ratio))
     f2 = ss.gko_factor(*ss.random_cauchy_type(8, 1, seed=0), "partial")
     assert f2.trace.hat_ratios_computed
+
+
+def _hat_ratios_from_factors(gen, nodes, f):
+    """Step-k hatted norm ratios rebuilt from L, U and the permutations alone.
+
+    With A[p][:, c] = L U, the step-k Schur complement of A[p][:, c] has
+    generators phi_2 - L21 L11^-1 phi_1 and psi_2 - psi_1 U11^-1 U12 and
+    nodes t[p][k:], s[c][k:].
+    """
+    p, c = f.row_perm.idx, np.argsort(f.col_perm.idx)
+    phi, t = gen.phi[p], nodes.t[p]
+    psi, s = gen.psi[:, c], nodes.s[c]
+    L, U = f.L, f.U
+    out = np.empty(f.n)
+    for k in range(f.n):
+        phi_k, psi_k = phi[k:], psi[:, k:]
+        if k:
+            phi_k = phi_k - L[k:, :k] @ np.linalg.solve(L[:k, :k], phi[:k])
+            psi_k = psi_k - psi[:, :k] @ np.linalg.solve(U[:k, :k], U[:k, k:])
+        gaps = t[k:, None] - s[None, k:]
+        hatted = (np.abs(phi_k) @ np.abs(psi_k)) / np.abs(gaps)
+        out[k] = np.linalg.norm(hatted) / np.linalg.norm((phi_k @ psi_k) / gaps)
+    return out
+
+
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+def test_hat_ratio_matches_dense_schur_complement_oracle(strategy):
+    col_interchanges = 0
+    for seed in range(6):
+        gen, nodes = ss.random_cauchy_type(40, 3, seed=seed)
+        f = ss.gko_factor(gen, nodes, strategy)
+        assert f.trace.hat_ratios_computed
+        assert_allclose(f.trace.hat_ratio, _hat_ratios_from_factors(gen, nodes, f), rtol=1e-9)
+        col_interchanges += int(f.trace.pivot_is_col.sum())
+    # the gap tables follow column interchanges as well as row interchanges
+    assert (col_interchanges > 0) == (strategy == "row1col1")

@@ -120,6 +120,46 @@ def test_cli_solve_missing_rhs(tmp_path, capsys):
     assert cli.main(["solve", path]) == 2
 
 
+def _cauchy_doc(b):
+    gen, nodes = ss.random_cauchy_type(3, 1, seed=5)
+    return {
+        "cauchy": {
+            "t": [[v.real, v.imag] for v in nodes.t],
+            "s": [[v.real, v.imag] for v in nodes.s],
+            "phi": [[[v.real, v.imag] for v in row] for row in gen.phi],
+            "psi": [[[v.real, v.imag] for v in row] for row in gen.psi],
+        },
+        "b": b,
+    }
+
+
+_SYSTEM_DOCS = {"toeplitz": lambda b: _identity_toeplitz_doc(3, b), "cauchy": _cauchy_doc}
+
+
+@pytest.mark.parametrize("kind", sorted(_SYSTEM_DOCS))
+def test_cli_solve_rhs_of_wrong_length(tmp_path, capsys, kind):
+    path = _write_json(tmp_path / "short.json", _SYSTEM_DOCS[kind]([1.0, 1.0]))
+    assert cli.main(["solve", path]) == 2
+    err = capsys.readouterr().err
+    assert "input error: 'b' has length 2 but the system is order 3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", sorted(_SYSTEM_DOCS))
+def test_cli_solve_non_finite_rhs(tmp_path, capsys, kind):
+    path = _write_json(tmp_path / "nan.json", _SYSTEM_DOCS[kind]([1.0, float("nan"), 1.0]))
+    assert cli.main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: right-hand side b has non-finite entries" in captured.err
+
+
+def test_cli_encode_non_finite_complex_like_float():
+    assert cli._encode(complex(float("nan"), 1.0)) == ["nan", 1.0]
+    assert cli._encode(np.array([complex(2.0, float("inf"))])) == [[2.0, "inf"]]
+    assert cli._encode(float("-inf")) == "-inf"
+
+
 def test_cli_singular_exit_code(tmp_path, capsys):
     a = [0.5, 0.8, 1.0]
     doc = {

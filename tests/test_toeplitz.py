@@ -167,6 +167,15 @@ def test_solve_rejects_wrong_length():
         ss.toeplitz_solve(f, np.ones(5))
 
 
+@pytest.mark.parametrize("shape", [(4,), (4, 3)], ids=["one-rhs", "three-rhs"])
+def test_solve_rejects_non_finite_rhs(shape):
+    f = ss.toeplitz_factor(ss.random_toeplitz(4, seed=0))
+    b = np.ones(shape)
+    b[2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ss.toeplitz_solve(f, b)
+
+
 def test_displacement_identity_toeplitz():
     coeffs = _identity_coeffs(4)
     gen = ss.toeplitz_generators(coeffs)
