@@ -481,3 +481,50 @@ def test_hat_ratio_matches_dense_schur_complement_oracle(strategy):
         col_interchanges += int(f.trace.pivot_is_col.sum())
     # the gap tables follow column interchanges as well as row interchanges
     assert (col_interchanges > 0) == (strategy == "row1col1")
+
+
+def _step_statistics_from_factors(gen, nodes, f):
+    """Every per-step trace statistic rebuilt from L, U and the permutations.
+
+    Step k's generators come from the Schur complement of A[p][:, c] as in
+    ``_hat_ratios_from_factors``; its first column and row are recovered
+    from them, and the V ratios, pivot and hatted norms follow from their
+    definitions.
+    """
+    p, c = f.row_perm.idx, np.argsort(f.col_perm.idx)
+    phi, t = gen.phi[p], nodes.t[p]
+    psi, s = gen.psi[:, c], nodes.s[c]
+    L, U = f.L, f.U
+    names = ("pivot_magnitude", "v_col_max", "v_row_max", "v_kk", "hat_l_col", "hat_u_row")
+    out = {name: np.empty(f.n, dtype=complex if name == "v_kk" else float) for name in names}
+    for k in range(f.n):
+        phi_k, psi_k = phi[k:], psi[:, k:]
+        if k:
+            phi_k = phi_k - L[k:, :k] @ np.linalg.solve(L[:k, :k], phi[:k])
+            psi_k = psi_k - psi[:, :k] @ np.linalg.solve(U[:k, :k], U[:k, k:])
+        col_den = phi_k @ psi_k[:, 0]
+        row_den = phi_k[0] @ psi_k
+        col_num = np.abs(phi_k) @ np.abs(psi_k[:, 0])
+        row_num = np.abs(phi_k[0]) @ np.abs(psi_k)
+        col_gap = np.abs(t[k:] - s[k])
+        row_gap = np.abs(t[k] - s[k:])
+        u_kk = col_den[0] / (t[k] - s[k])
+        v_kk = col_num[0] / col_den[0]
+        out["pivot_magnitude"][k] = abs(u_kk)
+        out["v_col_max"][k] = np.max(col_num / np.abs(col_den))
+        out["v_row_max"][k] = np.max(row_num / np.abs(row_den))
+        out["v_kk"][k] = v_kk
+        # |v_jk l_jk| = col_num_j / (|t_j - s_k| |u_kk|), |v_kj u_kj| = row_num_j / |t_k - s_j|
+        hat_l = col_num[1:] / (col_gap[1:] * abs(u_kk))
+        out["hat_l_col"][k] = np.sqrt(abs(v_kk) ** 2 + np.sum(hat_l**2))
+        out["hat_u_row"][k] = np.linalg.norm(row_num / row_gap)
+    return out
+
+
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+def test_step_statistics_match_dense_schur_complement_oracle(strategy):
+    for seed in range(6):
+        gen, nodes = ss.random_cauchy_type(40, 3, seed=seed)
+        f = ss.gko_factor(gen, nodes, strategy, hat_ratios=False)
+        for name, expected in _step_statistics_from_factors(gen, nodes, f).items():
+            assert_allclose(getattr(f.trace, name), expected, rtol=1e-9, err_msg=f"{name}, seed {seed}")
