@@ -6,10 +6,12 @@ this script:
     python scripts/factor_digest.py > digests.txt
 
 Running it in two checkouts and diffing the output shows whether a change
-kept the factorizations bit-identical.  Each line is ``<label> <digest>``.
-A digest covers L, U, ``row_perm``, ``col_perm``, every ``GrowthTrace``
-field, every ``growth_report`` field and ``v_matrix`` of the factored
-generators.  The corpus is 149 instances under each of the strategies
+kept the factorizations bit-identical.  Each line is ``<label> <strategy>
+<pivot digest> <full digest>``.  The pivot digest covers ``pivot_index``,
+``pivot_is_col``, ``row_perm`` and ``col_perm``, so a change that keeps
+every pivot differs only in the second digest.  The full digest covers L,
+U, ``row_perm``, ``col_perm``, every ``GrowthTrace`` field, every
+``growth_report`` field and ``v_matrix`` of the factored generators.  The corpus is 149 instances under each of the strategies
 none, partial and row1col1 (447 factorizations):
 
 - the 100 random Cauchy-type instances of acceptance criterion 1;
@@ -25,7 +27,7 @@ norm ratio above n = 256.  Three lines follow for ``random_toeplitz(300,
 seed=300)`` with ``hat_ratios=True``, one per strategy.  Then follow 24
 lines for 8 inputs that are singular or have an exactly zero (1, 1) entry,
 under each strategy.  A factorization that raises ``SingularMatrixError``
-prints the error message instead of a digest.
+prints the error message instead of the two digests.
 
 The digests depend on the BLAS in use, so compare two checkouts only on
 the same machine and numpy.
@@ -102,6 +104,9 @@ def digest(gen, nodes, strategy, hat_ratios) -> str:
         f = ss.gko_factor(gen, nodes, strategy, hat_ratios)
     except ss.SingularMatrixError as exc:
         return f"SingularMatrixError: {exc}"
+    pivots = hashlib.sha256()
+    for value in (f.trace.pivot_index, f.trace.pivot_is_col, f.row_perm, f.col_perm):
+        _update(pivots, value)
     h = hashlib.sha256()
     for value in (f.L, f.U, f.row_perm, f.col_perm):
         _update(h, value)
@@ -110,7 +115,7 @@ def digest(gen, nodes, strategy, hat_ratios) -> str:
     for value in ss.growth_report(f.trace, f, nodes).to_dict().values():
         _update(h, np.float64(value))
     _update(h, ss.v_matrix(gen))
-    return h.hexdigest()
+    return f"{pivots.hexdigest()} {h.hexdigest()}"
 
 
 def main() -> int:

@@ -10,12 +10,21 @@ directly.
 
 Total cost is O(alpha n^2) plus, optionally, an O(n^3) growth diagnostic
 (the per-step hatted norm ratio) that is only switched on at small orders.
+The elimination loop is plain C (``_gko_kernel.c``), compiled with the
+system C compiler on first import and cached in ``__pycache__``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -112,7 +121,9 @@ class GKOFactorization:
     ``row_perm`` is P and ``col_perm`` is P' (identity unless the
     row-1/column-1 strategy performed column interchanges), both as
     row-selection permutations, so the source matrix is recovered as
-    ``row_perm.matrix().T @ L @ U @ col_perm.matrix().T``.
+    ``row_perm.matrix().T @ L @ U @ col_perm.matrix().T``.  ``norm_L`` and
+    ``norm_U`` are the Frobenius norms of L and U, accumulated during
+    elimination.
     """
 
     row_perm: Permutation
@@ -120,6 +131,8 @@ class GKOFactorization:
     L: np.ndarray
     U: np.ndarray
     trace: GrowthTrace
+    norm_L: float
+    norm_U: float
 
     @property
     def n(self) -> int:
@@ -134,37 +147,6 @@ class GKOFactorization:
         return out
 
 
-def _column_parts(phi, psi, t, s, k):
-    """Numerators phi_j psi_k and gaps t_j - s_k of the step-k column, j >= k.
-
-    The column is their quotient; the numerators are also the V-column
-    denominators and the gaps weight the hatted L column, so one recovery
-    serves all three.
-    """
-    return phi[k:] @ psi[:, k], t[k:] - s[k]
-
-
-def _recover_row(phi, psi, t, s, k, head, out):
-    """Write the step-k row of the reduced matrix, k..n-1, into ``out``.
-
-    Entry 0 is set to ``head``: the diagonal is the column's, so only
-    k+1..n-1 is recovered.  BLAS may round an entry differently when its
-    slice starts elsewhere, so this operand shape is part of what keeps the
-    factors reproducible.
-    """
-    out[0] = head
-    np.divide(phi[k] @ psi[:, k + 1 :], t[k] - s[k + 1 :], out=out[1:])
-    return out
-
-
-def _schur_update_inplace(phi, psi, l_tail, u_tail, u_kk, k):
-    # the Schur-complement generator recursion:
-    #   psi_j <- psi_j - psi_k u_kj / u_kk,   phi_j <- phi_j - l_jk phi_k
-    # for j > k; later steps never read generator k again
-    psi[:, k + 1 :] -= psi[:, k, None] * (u_tail / u_kk)
-    phi[k + 1 :] -= l_tail[:, None] * phi[k]
-
-
 def _v_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Elementwise |phi||psi| / (phi psi); degenerate denominators go to inf."""
     mag = np.abs(den)
@@ -176,36 +158,90 @@ def _v_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hat_ratio_work(t, s):
-    """Per-factorization state of ``_hat_ratio`` at the initial node order.
+_KERNEL_SOURCE = Path(__file__).with_name("_gko_kernel.c")
+# no -ffast-math, -march=native or -fcx-limited-range: each changes rounding
+# or overflow, and a library cached for one machine must run on its twin
+_KERNEL_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+# the kernel holds this many columns of L in an n-row panel and copies them
+# into L row by row when the panel is full: written straight into L, each
+# entry of a column would land on its own page.  Widths 8, 16 and 32 time
+# the same at n = 1024 and 2048; 8 keeps the panel to 128 n bytes
+_L_PANEL = 8
+_STRATEGY_CODES = {
+    PivotStrategy.NONE: 0,
+    PivotStrategy.PARTIAL_ROW: 1,
+    PivotStrategy.ROW1_COL1: 2,
+}
 
-    The gaps |t_i - s_j|, their reciprocals (each stored twice, against the
-    real and imaginary parts of a complex entry) and two n^2 step buffers:
-    about 48 n^2 bytes.  Interchanges must move the gap rows and columns with
-    the nodes.  numpy divides a complex entry by a real c as a * (1/c), so
-    multiplying by the stored reciprocal rounds exactly as that division did.
+
+# dtypes of the kernel's array arguments, in order: phi, psi^T, t, s, L, U;
+# pidx, cidx, pivot_index, pivot_is_col; pivot_magnitude, v_col_max,
+# v_row_max, v_kk; hat_ratio, hat_l_col, hat_u_row, the reciprocal gaps; the
+# L panel, complex and real work space, and the norm sums
+_KERNEL_ARRAYS = (
+    (complex,) * 6
+    + (np.intp, np.intp, np.intp, np.bool_)
+    + (float, float, float, complex)
+    + (float, float, float, float)
+    + (complex, complex, float, float)
+)
+
+
+def _address(array: np.ndarray, dtype) -> int:
+    if array.dtype != dtype or not (array.flags.c_contiguous and array.flags.writeable):
+        raise TypeError(f"kernel arrays must be writeable, C-contiguous {np.dtype(dtype)}")
+    # a plain address: numpy's ctypes pointer objects form a reference cycle
+    # that lives until the cycle collector runs (CPython issue 12836)
+    return array.ctypes.data
+
+
+def _load_kernel(cache_dir=_KERNEL_SOURCE.parent / "__pycache__", compiler="cc"):
+    """Compile ``_gko_kernel.c`` once per source version and load it.
+
+    The library is cached as ``_gko_kernel-<sha256>.so`` in ``cache_dir``,
+    keyed on the source, the flags and the machine type.  It is compiled to a
+    temporary name and moved into place, so concurrent imports are safe.
+    Raises ImportError when the compiler is missing or fails.
     """
-    gaps = np.abs(t[:, None] - s[None, :])
-    inv_gaps = np.empty(gaps.shape + (2,))
-    np.divide(1.0, gaps, out=inv_gaps[..., 0])
-    inv_gaps[..., 1] = inv_gaps[..., 0]
-    return gaps, inv_gaps, np.empty(gaps.size), np.empty(gaps.size, dtype=complex)
+    cache_dir = Path(cache_dir)
+    source = _KERNEL_SOURCE.read_bytes()
+    key = hashlib.sha256(
+        source + " ".join(_KERNEL_FLAGS).encode() + platform.machine().encode()
+    ).hexdigest()
+    lib = cache_dir / f"_gko_kernel-{key}.so"
+    if not lib.exists():
+        cache_dir.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix="_gko_kernel-", suffix=".tmp")
+        os.close(fd)
+        try:
+            try:
+                built = subprocess.run(
+                    [compiler, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                    capture_output=True,
+                    text=True,
+                )
+            except OSError as exc:
+                raise ImportError(
+                    f"cannot compile {_KERNEL_SOURCE}: C compiler {compiler!r} not found ({exc})"
+                ) from exc
+            if built.returncode != 0:
+                raise ImportError(
+                    f"C compiler {compiler!r} failed on {_KERNEL_SOURCE}:\n{built.stderr}"
+                )
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    kernel = ctypes.CDLL(str(lib)).gko_eliminate
+    size, flag, real = ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double
+    # n, alpha, strategy, hat, eps, V floor, L panel width, then the arrays
+    kernel.argtypes = [size, size, flag, flag, real, real, size]
+    kernel.argtypes += [ctypes.c_void_p] * len(_KERNEL_ARRAYS)
+    kernel.restype = size
+    return kernel
 
 
-def _hat_ratio(phi, psi, k, work) -> float:
-    gaps, inv_gaps, num_buf, den_buf = work
-    m = phi.shape[0] - k
-    # contiguous m x m views of the buffers: np.linalg.norm then reads the
-    # same layout as a freshly allocated array, so it sums in the same order
-    num = np.matmul(np.abs(phi[k:]), np.abs(psi[:, k:]), out=num_buf[: m * m].reshape(m, m))
-    den = np.matmul(phi[k:], psi[:, k:], out=den_buf[: m * m].reshape(m, m))
-    num /= gaps[k:, k:]
-    den_parts = den.view(float).reshape(m, m, 2)
-    den_parts *= inv_gaps[k:, k:]
-    denom_norm = np.linalg.norm(den)
-    if denom_norm == 0.0:
-        return np.nan
-    return float(np.linalg.norm(num) / denom_norm)
+_kernel = _load_kernel()
 
 
 def gko_factor(
@@ -215,6 +251,8 @@ def gko_factor(
     hat_ratios="auto",
 ) -> GKOFactorization:
     """Factor a Cauchy-type matrix given by generators as P^T L U P'^T.
+
+    Every elimination step runs in one compiled loop (``_gko_kernel.c``).
 
     Parameters
     ----------
@@ -229,9 +267,8 @@ def gko_factor(
     hat_ratios :
         Whether to record the O(n^2)-per-step hatted norm ratio in the
         trace; "auto" enables it for n <= 256.  When on, the factorization
-        holds the node gaps, their reciprocals and two n^2 step buffers,
-        about 48 n^2 bytes (3.1 MB at n = 256, 50 MB at n = 1024); the
-        ratios are bit-identical to dividing fresh per-step arrays.
+        holds the reciprocal node gaps 1/|t_i - s_j|, 8 n^2 bytes (0.5 MB at
+        n = 256, 8.4 MB at n = 1024).
 
     Raises
     ------
@@ -240,142 +277,65 @@ def gko_factor(
         candidate examined at that step.
     """
     strategy = PivotStrategy.coerce(strategy)
-    n = gen.n
+    n, alpha = gen.n, gen.alpha
     if nodes.n != n:
         raise ValueError(f"generators are order {n}, nodes are order {nodes.n}")
     if hat_ratios == "auto":
         hat_ratios = n <= HAT_RATIO_AUTO_LIMIT
 
-    phi = gen.phi.copy()
-    psi = gen.psi.copy()
-    t = nodes.t.copy()
-    s = nodes.s.copy()
+    # the kernel updates copies; psi is held transposed so that each of its
+    # columns, like each row of phi, is contiguous
+    phi = np.array(gen.phi, dtype=complex, order="C")
+    psi_t = np.array(gen.psi.T, dtype=complex, order="C")
+    t = np.array(nodes.t, dtype=complex)
+    s = np.array(nodes.s, dtype=complex)
     # interchanges move only the finished columns 0..k-1 of L, so the unit
     # diagonal can be written up front
     L = np.eye(n, dtype=complex)
     U = np.zeros((n, n), dtype=complex)
     pidx = np.arange(n)
     cidx = np.arange(n)
-
-    piv_index = np.zeros(n, dtype=np.intp)
-    piv_is_col = np.zeros(n, dtype=bool)
-    piv_mag = np.zeros(n)
-    v_col_max = np.zeros(n)
-    v_row_max = np.zeros(n)
-    v_kk = np.zeros(n, dtype=complex)
-    hat_ratio = np.full(n, np.nan)
-    hat_work = _hat_ratio_work(t, s) if hat_ratios else ()
-    # arrays whose rows follow the nodes t and whose columns follow s
-    node_tables = hat_work[:2]
-    hat_l = np.zeros(n)
-    hat_u = np.zeros(n)
-
-    for k in range(n):
-        if hat_ratios:
-            hat_ratio[k] = _hat_ratio(phi, psi, k, hat_work)
-
-        cnum, cgap = _column_parts(phi, psi, t, s, k)
-        col = cnum / cgap
-        col_mag = np.abs(col)
-        q = int(col_mag.argmax())
-        cand_max = col_mag[q]
-        axis, p = 0, k
-        if strategy is not PivotStrategy.NONE:
-            p = k + q
-        if strategy is PivotStrategy.ROW1_COL1:
-            # the diagonal entry belongs to both candidate sets; reuse the
-            # column's value bitwise so a duplicate recovery cannot break the
-            # row-preferred tie rule by one ulp
-            row = _recover_row(phi, psi, t, s, k, col[0], U[k, k:])
-            row_mag = np.abs(row)
-            q_row = int(row_mag.argmax())
-            cand_max = max(cand_max, row_mag[q_row])
-            if abs(row[q_row]) > abs(col[p - k]):
-                axis, p = 1, k + q_row
-
-        # a column interchange on R is a row interchange on R^T, whose nodes
-        # are (-s, -t) and generators (psi^T, phi^T): swapping rows of the
-        # transposed views of s, psi, the finished rows of U and the node
-        # tables is the same block as a row interchange.  The column's
-        # numerators and gaps move with its entries.
-        if p != k:
-            if axis == 0:
-                node, perm, own = t, pidx, (col, cnum, cgap)
-                moved = (phi, L[:, :k], *node_tables)
-            else:
-                node, perm, own = s, cidx, (row,)
-                moved = (psi.T, U.T[:, :k], *(a.swapaxes(0, 1) for a in node_tables))
-            node[k], node[p] = node[p], node[k]
-            perm[k], perm[p] = perm[p], perm[k]
-            # basic indexing: an index-array swap costs more than the copy
-            for rows in moved:
-                swap = rows[k].copy()
-                rows[k] = rows[p]
-                rows[p] = swap
-            for vec in own:
-                vec[0], vec[p - k] = vec[p - k], vec[0]
-        if axis == 0:
-            u_kk = col[0]
-            row = _recover_row(phi, psi, t, s, k, u_kk, U[k, k:])
-        else:
-            u_kk = row[0]
-            cnum, cgap = _column_parts(phi, psi, t, s, k)
-            col = cnum / cgap
-            col[0] = u_kk
-        piv_index[k] = p
-        piv_is_col[k] = axis == 1
-
-        piv_mag[k] = abs(u_kk)
-        if piv_mag[k] <= n * EPS * cand_max:
-            raise SingularMatrixError(
-                f"singular at step {k}: pivot {piv_mag[k]:.3e} below "
-                f"{n}*eps*{cand_max:.3e}"
-            )
-
-        # V statistics at the (pivoted) step-k generators, before the update
-        num_col = np.abs(phi[k:]) @ np.abs(psi[:, k])
-        num_row = np.abs(phi[k]) @ np.abs(psi[:, k:])
-        vcol = _v_ratio(num_col, cnum)
-        vrow = _v_ratio(num_row, phi[k] @ psi[:, k:])
-        v_col_max[k] = np.abs(vcol).max()
-        v_row_max[k] = np.abs(vrow).max()
-        v_kk[k] = vcol[0]
-
-        l_tail = col[1:] / u_kk
-        L[k + 1 :, k] = l_tail
-
-        # |v_jk l_jk| = num_col_j / (|t_j - s_k| |u_kk|) and |v_kj u_kj| =
-        # num_row_j / |t_k - s_j|: the V denominator cancels against the
-        # recovered entry, so degenerate ratios never reach these norms
-        gap_col = np.abs(cgap[1:])
-        hat_l[k] = np.sqrt(
-            abs(v_kk[k]) ** 2
-            + ((num_col[1:] / (gap_col * abs(u_kk))) ** 2).sum()
-        )
-        # sqrt(y . y) is what np.linalg.norm computes for a real vector
-        hat_row = num_row / np.abs(t[k] - s[k:])
-        hat_u[k] = np.sqrt(hat_row.dot(hat_row))
-
-        _schur_update_inplace(phi, psi, l_tail, row[1:], u_kk, k)
-
     trace = GrowthTrace(
-        pivot_index=piv_index,
-        pivot_is_col=piv_is_col,
-        pivot_magnitude=piv_mag,
-        v_col_max=v_col_max,
-        v_row_max=v_row_max,
-        v_kk=v_kk,
-        hat_ratio=hat_ratio,
-        hat_l_col=hat_l,
-        hat_u_row=hat_u,
+        pivot_index=np.zeros(n, dtype=np.intp),
+        pivot_is_col=np.zeros(n, dtype=bool),
+        pivot_magnitude=np.zeros(n),
+        v_col_max=np.zeros(n),
+        v_row_max=np.zeros(n),
+        v_kk=np.zeros(n, dtype=complex),
+        hat_ratio=np.full(n, np.nan),
+        hat_l_col=np.zeros(n),
+        hat_u_row=np.zeros(n),
         hat_ratios_computed=bool(hat_ratios),
     )
+    inv_gaps = np.empty((n, n) if hat_ratios else 0)
+    panel = np.empty(n * _L_PANEL, dtype=complex)
+    work_c = np.empty(3 * n, dtype=complex)
+    work_r = np.empty(2 * n + (n + 2) * alpha)
+    sums = np.zeros(3)
+    arrays = (
+        phi, psi_t, t, s, L, U,
+        pidx, cidx, trace.pivot_index, trace.pivot_is_col,
+        trace.pivot_magnitude, trace.v_col_max, trace.v_row_max, trace.v_kk,
+        trace.hat_ratio, trace.hat_l_col, trace.hat_u_row, inv_gaps,
+        panel, work_c, work_r, sums,
+    )
+    failed = _kernel(
+        n, alpha, _STRATEGY_CODES[strategy], int(bool(hat_ratios)), EPS, V_DEGENERATE_FLOOR,
+        _L_PANEL, *map(_address, arrays, _KERNEL_ARRAYS),
+    )
+    if failed >= 0:
+        raise SingularMatrixError(
+            f"singular at step {failed}: pivot {trace.pivot_magnitude[failed]:.3e} "
+            f"below {n}*eps*{sums[2]:.3e}"
+        )
     return GKOFactorization(
         row_perm=Permutation(pidx),
         col_perm=Permutation(np.argsort(cidx)),
         L=L,
         U=U,
         trace=trace,
+        norm_L=float(np.sqrt(n + sums[0])),
+        norm_U=float(np.sqrt(sums[1])),
     )
 
 

@@ -117,8 +117,7 @@ def growth_report(
     them (large n), g2 and every quantity derived from it are NaN.
     """
     n = f.n
-    norm_l = np.linalg.norm(f.L)
-    norm_u = np.linalg.norm(f.U)
+    norm_l, norm_u = f.norm_L, f.norm_U
     hat_l = float(np.sqrt(np.sum(trace.hat_l_col**2)))
     hat_u = float(np.sqrt(np.sum(trace.hat_u_row**2)))
     hatL_ratio = hat_l / norm_l

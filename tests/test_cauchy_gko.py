@@ -528,3 +528,46 @@ def test_step_statistics_match_dense_schur_complement_oracle(strategy):
         f = ss.gko_factor(gen, nodes, strategy, hat_ratios=False)
         for name, expected in _step_statistics_from_factors(gen, nodes, f).items():
             assert_allclose(getattr(f.trace, name), expected, rtol=1e-9, err_msg=f"{name}, seed {seed}")
+
+
+def test_stored_norms_match_the_factors():
+    adversarial = ss.to_cauchy_generators(
+        ss.toeplitz_generators(ss.adversarial_toeplitz(ss.AdversarialSpec(n=64, delta=1e-6)))
+    )
+    row_swaps = col_swaps = 0
+    for gen, nodes in (ss.random_cauchy_type(60, 3, seed=4), adversarial):
+        for strategy in ("none", "partial", "row1col1"):
+            f = ss.gko_factor(gen, nodes, strategy)
+            assert_allclose(f.norm_L, np.linalg.norm(f.L), rtol=1e-12)
+            assert_allclose(f.norm_U, np.linalg.norm(f.U), rtol=1e-12)
+            swapped = f.trace.pivot_index != np.arange(f.n)
+            row_swaps += int((swapped & ~f.trace.pivot_is_col).sum())
+            col_swaps += int((swapped & f.trace.pivot_is_col).sum())
+    assert row_swaps > 0 and col_swaps > 0
+
+
+def test_kernel_loader_builds_into_an_empty_cache(tmp_path, monkeypatch):
+    from structsolve import cauchy_gko
+
+    kernel = cauchy_gko._load_kernel(cache_dir=tmp_path)
+    built = [path.name for path in tmp_path.iterdir()]
+    assert len(built) == 1 and built[0].startswith("_gko_kernel-") and built[0].endswith(".so")
+    gen, nodes = ss.random_cauchy_type(8, 2, seed=3)
+    expected = ss.gko_factor(gen, nodes, "row1col1")
+    monkeypatch.setattr(cauchy_gko, "_kernel", kernel)
+    got = ss.gko_factor(gen, nodes, "row1col1")
+    assert got.L.tobytes() == expected.L.tobytes()
+    assert got.U.tobytes() == expected.U.tobytes()
+    assert np.array_equal(got.row_perm.idx, expected.row_perm.idx)
+    assert np.array_equal(got.col_perm.idx, expected.col_perm.idx)
+
+
+@pytest.mark.parametrize("compiler", ["no-such-cc", "false"], ids=["missing", "failing"])
+def test_kernel_loader_without_a_working_compiler_raises_import_error(tmp_path, compiler):
+    from structsolve import cauchy_gko
+
+    with pytest.raises(ImportError) as info:
+        cauchy_gko._load_kernel(cache_dir=tmp_path, compiler=compiler)
+    assert compiler in str(info.value)
+    assert str(cauchy_gko._KERNEL_SOURCE) in str(info.value)
+    assert list(tmp_path.iterdir()) == []
