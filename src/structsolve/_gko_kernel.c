@@ -213,7 +213,9 @@ static inline double v_mag(double num, cplx den, double v_floor)
  * n.  Per step k the trace arrays receive the pivot, its magnitude, the V
  * statistics and the hatted L column / U row norms; hat_ratio[k] is written
  * only when hat is nonzero, in which case inv_gap is n x n work space.
- * work_c holds 3n complex values, work_r 2n + (n + 2) alpha doubles.
+ * panel holds n x panel_width complex values: column k of L is gathered
+ * there, row by row, and copied into L every panel_width steps.  work_c
+ * holds 3n complex values, work_r 2n + (n + 2) alpha doubles.
  * sums receives ||L||_F^2 - n and ||U||_F^2 and, when a step fails, the
  * largest candidate magnitude of that step.
  *

@@ -447,24 +447,30 @@ def test_hat_ratio_auto_skips_large_orders():
     assert f2.trace.hat_ratios_computed
 
 
-def _hat_ratios_from_factors(gen, nodes, f):
-    """Step-k hatted norm ratios rebuilt from L, U and the permutations alone.
+def _step_generators(gen, nodes, f):
+    """Each step's generators and nodes, rebuilt from L, U and the permutations.
 
     With A[p][:, c] = L U, the step-k Schur complement of A[p][:, c] has
     generators phi_2 - L21 L11^-1 phi_1 and psi_2 - psi_1 U11^-1 U12 and
-    nodes t[p][k:], s[c][k:].
+    nodes t[p][k:], s[c][k:].  Yields (phi_k, psi_k, t_k, s_k) for each k.
     """
     p, c = f.row_perm.idx, np.argsort(f.col_perm.idx)
     phi, t = gen.phi[p], nodes.t[p]
     psi, s = gen.psi[:, c], nodes.s[c]
     L, U = f.L, f.U
-    out = np.empty(f.n)
     for k in range(f.n):
         phi_k, psi_k = phi[k:], psi[:, k:]
         if k:
             phi_k = phi_k - L[k:, :k] @ np.linalg.solve(L[:k, :k], phi[:k])
             psi_k = psi_k - psi[:, :k] @ np.linalg.solve(U[:k, :k], U[:k, k:])
-        gaps = t[k:, None] - s[None, k:]
+        yield phi_k, psi_k, t[k:], s[k:]
+
+
+def _hat_ratios_from_factors(gen, nodes, f):
+    """Step-k hatted norm ratios of the rebuilt step generators."""
+    out = np.empty(f.n)
+    for k, (phi_k, psi_k, t_k, s_k) in enumerate(_step_generators(gen, nodes, f)):
+        gaps = t_k[:, None] - s_k[None, :]
         hatted = (np.abs(phi_k) @ np.abs(psi_k)) / np.abs(gaps)
         out[k] = np.linalg.norm(hatted) / np.linalg.norm((phi_k @ psi_k) / gaps)
     return out
@@ -484,40 +490,28 @@ def test_hat_ratio_matches_dense_schur_complement_oracle(strategy):
 
 
 def _step_statistics_from_factors(gen, nodes, f):
-    """Every per-step trace statistic rebuilt from L, U and the permutations.
+    """Every per-step trace statistic of the rebuilt step generators.
 
-    Step k's generators come from the Schur complement of A[p][:, c] as in
-    ``_hat_ratios_from_factors``; its first column and row are recovered
-    from them, and the V ratios, pivot and hatted norms follow from their
-    definitions.
+    Each step's first column and row are recovered from its generators, and
+    the V ratios, pivot and hatted norms follow from their definitions.
     """
-    p, c = f.row_perm.idx, np.argsort(f.col_perm.idx)
-    phi, t = gen.phi[p], nodes.t[p]
-    psi, s = gen.psi[:, c], nodes.s[c]
-    L, U = f.L, f.U
     names = ("pivot_magnitude", "v_col_max", "v_row_max", "v_kk", "hat_l_col", "hat_u_row")
     out = {name: np.empty(f.n, dtype=complex if name == "v_kk" else float) for name in names}
-    for k in range(f.n):
-        phi_k, psi_k = phi[k:], psi[:, k:]
-        if k:
-            phi_k = phi_k - L[k:, :k] @ np.linalg.solve(L[:k, :k], phi[:k])
-            psi_k = psi_k - psi[:, :k] @ np.linalg.solve(U[:k, :k], U[:k, k:])
+    for k, (phi_k, psi_k, t_k, s_k) in enumerate(_step_generators(gen, nodes, f)):
         col_den = phi_k @ psi_k[:, 0]
         row_den = phi_k[0] @ psi_k
         col_num = np.abs(phi_k) @ np.abs(psi_k[:, 0])
         row_num = np.abs(phi_k[0]) @ np.abs(psi_k)
-        col_gap = np.abs(t[k:] - s[k])
-        row_gap = np.abs(t[k] - s[k:])
-        u_kk = col_den[0] / (t[k] - s[k])
+        u_kk = col_den[0] / (t_k[0] - s_k[0])
         v_kk = col_num[0] / col_den[0]
         out["pivot_magnitude"][k] = abs(u_kk)
         out["v_col_max"][k] = np.max(col_num / np.abs(col_den))
         out["v_row_max"][k] = np.max(row_num / np.abs(row_den))
         out["v_kk"][k] = v_kk
         # |v_jk l_jk| = col_num_j / (|t_j - s_k| |u_kk|), |v_kj u_kj| = row_num_j / |t_k - s_j|
-        hat_l = col_num[1:] / (col_gap[1:] * abs(u_kk))
+        hat_l = col_num[1:] / (np.abs(t_k[1:] - s_k[0]) * abs(u_kk))
         out["hat_l_col"][k] = np.sqrt(abs(v_kk) ** 2 + np.sum(hat_l**2))
-        out["hat_u_row"][k] = np.linalg.norm(row_num / row_gap)
+        out["hat_u_row"][k] = np.linalg.norm(row_num / np.abs(t_k[0] - s_k))
     return out
 
 
