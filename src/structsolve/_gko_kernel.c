@@ -366,9 +366,7 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
         double row_max = 0.0, hat_u_sq = 0.0;
         for (ptrdiff_t j = k; j < n; j++) {
             cplx *psi_j = psi + j * alpha;
-            num = 0.0;
-            for (ptrdiff_t m = 0; m < alpha; m++)
-                num += phi_k_abs[m] * cmag(psi_j[m]);
+            num = abs_dot(psi_j, phi_k_abs, alpha);
             double v = v_mag(num, row_num[j], v_floor);
             if (j == k || v > row_max)
                 row_max = v;
