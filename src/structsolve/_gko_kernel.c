@@ -1,9 +1,10 @@
-/* GKO elimination on Cauchy-type generators: every step of gko_factor.
+/* GKO elimination on Cauchy-type generators: every step of gko_factor, and
+ * the diagonal blocks of the triangular solves that follow it.
  *
  * structsolve.cauchy_gko compiles this file with -ffp-contract=off and calls
- * gko_eliminate through ctypes.  The caller allocates every array; nothing
- * here allocates.  Complex numbers are (re, im) pairs of doubles, the layout
- * of numpy's complex128.
+ * gko_eliminate and tri_block_solve through ctypes.  The caller allocates
+ * every array; nothing here allocates.  Complex numbers are (re, im) pairs
+ * of doubles, the layout of numpy's complex128.
  *
  * Quotients use numpy's Smith division, so a quotient of the same operands
  * rounds as numpy's does.  Products are (ac - bd) + (ad + bc)i with no fused
@@ -395,4 +396,37 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
     sums[0] = l_sq;
     sums[1] = u_sq;
     return -1;
+}
+
+/* Substitute in place through one b x b diagonal block T (row stride ldt)
+ * of a triangular factor, for the m right-hand sides held row-major in X
+ * (b x m, row stride m).
+ *
+ * upper == 0: T is unit lower triangular, its diagonal is never read, and
+ * row i becomes x_i - sum_{j<i} t_ij x_j, first row first.  upper != 0: T is
+ * upper triangular and row i becomes (x_i - sum_{j>i} t_ij x_j) / t_ii, last
+ * row first.  Each sum subtracts its products one at a time, j ascending.
+ * Substitution is backward stable without interchanges (Higham, Accuracy
+ * and Stability of Numerical Algorithms, 2nd ed., Thm 8.5).
+ */
+void tri_block_solve(ptrdiff_t b, ptrdiff_t m, int upper, const cplx *T, ptrdiff_t ldt,
+                     cplx *X)
+{
+    for (ptrdiff_t r = 0; r < b; r++) {
+        ptrdiff_t i = upper ? b - 1 - r : r;
+        ptrdiff_t lo = upper ? i + 1 : 0, hi = upper ? b : i;
+        const cplx *t_i = T + i * ldt;
+        divisor by_diag = prepare(upper ? t_i[i] : (cplx){1.0, 0.0});
+        for (ptrdiff_t c = 0; c < m; c++) {
+            /* summed in a local: the compiler must assume that a store to
+             * x_i could change an x_j, and would reload the sum each time */
+            cplx acc = X[i * m + c];
+            for (ptrdiff_t j = lo; j < hi; j++) {
+                cplx d = cmul(t_i[j], X[j * m + c]);
+                acc.re -= d.re;
+                acc.im -= d.im;
+            }
+            X[i * m + c] = upper ? divide(acc, by_diag) : acc;
+        }
+    }
 }

@@ -10,8 +10,9 @@ directly.
 
 Total cost is O(alpha n^2) plus, optionally, an O(n^3) growth diagnostic
 (the per-step hatted norm ratio) that is only switched on at small orders.
-The elimination loop is plain C (``_gko_kernel.c``), compiled with the
-system C compiler on first import and cached in ``__pycache__``.
+The elimination loop and the diagonal blocks of the triangular solves are
+plain C (``_gko_kernel.c``), compiled with the system C compiler on first
+import and cached in ``__pycache__``.
 """
 
 from __future__ import annotations
@@ -46,14 +47,11 @@ V_DEGENERATE_FLOOR = 1e-300
 HAT_RATIO_AUTO_LIMIT = 256
 
 # Rows per diagonal block of the triangular substitutions.  Each block costs
-# one BLAS product against the part already solved and one LAPACK LU solve of
-# the diagonal block, so a solve makes 2n/32 Python iterations instead of 2n.
-# LU with partial pivoting leaves an upper-triangular block as it is; on a
-# unit-lower block it may interchange rows, which keeps the block solve
-# backward stable.  That happens where |l_ij| > 1 (no pivoting, or a column
-# interchange under row-1/column-1) and, since LAPACK compares |Re| + |Im|,
-# even for complex |l_ij| <= 1.
-_SUB_BLOCK = 32
+# one BLAS product against the part already solved, which numpy may thread,
+# and one compiled substitution through the diagonal block, so a solve makes
+# 2n/64 Python iterations instead of 2n.  Blocks of 32 or 128 rows made a
+# solve about 10% slower at n = 1024 and 2048, blocks of 16 or 256 about 40%.
+_SUB_BLOCK = 64
 
 
 class PivotStrategy(enum.Enum):
@@ -198,6 +196,8 @@ def _address(array: np.ndarray, dtype) -> int:
 def _load_kernel(cache_dir=_KERNEL_SOURCE.parent / "__pycache__", compiler="cc"):
     """Compile ``_gko_kernel.c`` once per source version and load it.
 
+    Returns its two entry points, ``gko_eliminate`` and ``tri_block_solve``.
+
     The library is cached as ``_gko_kernel-<sha256>.so`` in ``cache_dir``,
     keyed on the source, the flags and the machine type.  It is compiled to a
     temporary name and moved into place, so concurrent imports are safe.
@@ -232,16 +232,21 @@ def _load_kernel(cache_dir=_KERNEL_SOURCE.parent / "__pycache__", compiler="cc")
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    kernel = ctypes.CDLL(str(lib)).gko_eliminate
-    size, flag, real = ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double
+    library = ctypes.CDLL(str(lib))
+    size, flag, real, address = ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+    eliminate = library.gko_eliminate
     # n, alpha, strategy, hat, eps, V floor, L panel width, then the arrays
-    kernel.argtypes = [size, size, flag, flag, real, real, size]
-    kernel.argtypes += [ctypes.c_void_p] * len(_KERNEL_ARRAYS)
-    kernel.restype = size
-    return kernel
+    eliminate.argtypes = [size, size, flag, flag, real, real, size]
+    eliminate.argtypes += [address] * len(_KERNEL_ARRAYS)
+    eliminate.restype = size
+    solve_block = library.tri_block_solve
+    # block rows, right-hand sides, upper, block, row stride, right-hand sides
+    solve_block.argtypes = [size, size, flag, address, size, address]
+    solve_block.restype = None
+    return eliminate, solve_block
 
 
-_kernel = _load_kernel()
+_kernel, _solve_block = _load_kernel()
 
 
 def gko_factor(
@@ -339,40 +344,57 @@ def gko_factor(
     )
 
 
-def _forward_sub(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    z = b.astype(complex)
-    for lo in range(0, L.shape[0], _SUB_BLOCK):
-        hi = lo + _SUB_BLOCK
-        z[lo:hi] -= L[lo:hi, :lo] @ z[:lo]
-        z[lo:hi] = np.linalg.solve(L[lo:hi, lo:hi], z[lo:hi])
-    return z
+def _substitute(T: np.ndarray, z: np.ndarray, upper: bool) -> None:
+    """Overwrite z with T^-1 z, for T unit lower or upper triangular.
 
-
-def _back_sub(U: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diag = np.abs(np.diag(U))
-    if np.any(diag == 0.0):
-        raise SingularMatrixError("zero diagonal in U")
-    z = b.astype(complex)
-    for lo in reversed(range(0, U.shape[0], _SUB_BLOCK)):
-        hi = lo + _SUB_BLOCK
-        z[lo:hi] -= U[lo:hi, hi:] @ z[hi:]
-        z[lo:hi] = np.linalg.solve(U[lo:hi, lo:hi], z[lo:hi])
-    return z
+    T is a C-contiguous complex (n, n) array and z a C-contiguous complex
+    (n,) or (n, m) array, blocks of ``_SUB_BLOCK`` rows taken first to last
+    (lower) or last to first (upper).
+    """
+    n = T.shape[0]
+    m = z.size // n
+    blocks = range(0, n, _SUB_BLOCK)
+    t_base, z_base = T.ctypes.data, z.ctypes.data
+    for lo in reversed(blocks) if upper else blocks:
+        hi = min(lo + _SUB_BLOCK, n)
+        z[lo:hi] -= T[lo:hi, hi:] @ z[hi:] if upper else T[lo:hi, :lo] @ z[:lo]
+        _solve_block(
+            hi - lo, m, int(upper), t_base + (lo * n + lo) * T.itemsize, n,
+            z_base + lo * m * z.itemsize,
+        )
 
 
 def solve_with_factors(f: GKOFactorization, b) -> np.ndarray:
     """Solve (P^T L U P'^T) x = b by permute, substitute twice, permute.
 
     ``b`` is one right-hand side of shape (n,) or several as the columns of
-    an (n, m) array.  Both substitutions run over 32-row diagonal blocks.
+    an (n, m) array.  Both substitutions run over 64-row diagonal blocks:
+    a BLAS product against the part already solved, then a compiled
+    substitution through the block.
     """
+    n = f.n
     b = np.asarray(b, dtype=complex)
-    if b.shape[0] != f.n:
-        raise ValueError(f"factorization is order {f.n}, b has length {b.shape[0]}")
+    if b.ndim not in (1, 2):
+        raise ValueError(f"b must have shape (n,) or (n, m), got shape {b.shape}")
+    if b.shape[0] != n:
+        raise ValueError(f"factorization is order {n}, b has length {b.shape[0]}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side b has non-finite entries")
-    z = _forward_sub(f.L, b[f.row_perm.idx])
-    z = _back_sub(f.U, z)
+    # the compiled block solve reads the factors through raw pointers
+    L = np.ascontiguousarray(f.L, dtype=complex)
+    U = np.ascontiguousarray(f.U, dtype=complex)
+    if L.shape != (n, n) or U.shape != (n, n):
+        raise ValueError(f"L and U must be ({n}, {n}), got {L.shape} and {U.shape}")
+    if f.row_perm.n != n or f.col_perm.n != n:
+        raise ValueError(
+            f"permutations must be order {n}, got {f.row_perm.n} and {f.col_perm.n}"
+        )
+    if np.any(np.diag(U) == 0.0):
+        raise SingularMatrixError("zero diagonal in U")
+    # fancy indexing copies b, so z may be overwritten
+    z = np.ascontiguousarray(b[f.row_perm.idx])
+    _substitute(L, z, upper=False)
+    _substitute(U, z, upper=True)
     return z[f.col_perm.idx]
 
 

@@ -99,6 +99,8 @@ def toeplitz_solve(f: ToeplitzFactorization, b) -> np.ndarray:
     part is rounding-level and is left to the caller to drop.
     """
     b = np.asarray(b, dtype=complex)
+    if b.ndim not in (1, 2):
+        raise ValueError(f"b must have shape (n,) or (n, m), got shape {b.shape}")
     if b.shape[0] != f.n:
         raise ValueError(f"factorization is order {f.n}, b has length {b.shape[0]}")
     y = solve_with_factors(f.inner, apply_F(f.plan, b))

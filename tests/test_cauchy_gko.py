@@ -1,11 +1,18 @@
 """Tests for generator-based elimination: recovery, updates, factorization."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import structsolve as ss
+from structsolve import cauchy_gko
 from structsolve.oracle import DenseFactorization, _substitute
+
+# rows per diagonal block of the blocked triangular solves
+B = cauchy_gko._SUB_BLOCK
 
 
 def _ones_cauchy(t, s):
@@ -353,8 +360,11 @@ def test_solve_zero_diagonal_raises():
         ss.solve_with_factors(f, np.ones(3))
 
 
+# the block edges, plus orders that end inside a block
 @pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
-@pytest.mark.parametrize("n", [1, 31, 32, 33, 65, 100])
+@pytest.mark.parametrize(
+    "n", sorted({1, B - 1, B, B + 1, 2 * B + 1, 3 * B + 4} | {31, 32, 33, 65, 100})
+)
 def test_blocked_solve_across_block_edges(n, strategy):
     gen, nodes = ss.random_cauchy_type(n, 2, seed=n)
     R = ss.materialize_cauchy(gen, nodes)
@@ -385,6 +395,62 @@ def test_solve_several_right_hand_sides_matches_one_at_a_time(strategy):
         assert_allclose(X[:, j], x, rtol=0, atol=1e-13 * np.abs(x).max())
 
 
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+def test_solve_fortran_ordered_rhs_wider_than_a_block(strategy):
+    n, m = 2 * B + 1, 70
+    assert m > B
+    gen, nodes = ss.random_cauchy_type(n, 2, seed=8)
+    f = ss.gko_factor(gen, nodes, strategy)
+    rng = np.random.default_rng(2)
+    rhs = np.asfortranarray(rng.uniform(-1.0, 1.0, (n, m)) + 1j * rng.uniform(-1.0, 1.0, (n, m)))
+    assert not rhs.flags.c_contiguous
+    X = ss.solve_with_factors(f, rhs)
+    assert X.shape == (n, m)
+    for j in range(m):
+        x = ss.solve_with_factors(f, rhs[:, j])
+        assert_allclose(X[:, j], x, rtol=0, atol=1e-13 * np.abs(x).max())
+
+
+@pytest.mark.parametrize("shape", [(40, 2, 3), ()], ids=["3-d", "scalar"])
+def test_solve_rejects_rhs_that_is_not_one_or_two_dimensional(shape):
+    f = ss.gko_factor(*ss.random_cauchy_type(40, 2, seed=5), "partial")
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        ss.solve_with_factors(f, np.ones(shape))
+
+
+@pytest.mark.parametrize("factor", ["L", "U"])
+@pytest.mark.parametrize("delta", [-1, 1], ids=["narrow", "wide"])
+def test_solve_rejects_factors_that_are_not_square(factor, delta):
+    f = ss.gko_factor(*ss.random_cauchy_type(6, 2, seed=5), "partial")
+    square = getattr(f, factor)
+    wrong = square[:, :delta] if delta < 0 else np.hstack([square, square[:, :delta]])
+    with pytest.raises(ValueError, match=r"L and U must be \(6, 6\)"):
+        ss.solve_with_factors(dataclasses.replace(f, **{factor: wrong}), np.ones(6))
+
+
+@pytest.mark.parametrize("perm", ["row_perm", "col_perm"])
+def test_solve_rejects_permutations_of_another_order(perm):
+    f = ss.gko_factor(*ss.random_cauchy_type(6, 2, seed=5), "partial")
+    short = dataclasses.replace(f, **{perm: ss.Permutation.identity(5)})
+    with pytest.raises(ValueError, match="permutations must be order 6"):
+        ss.solve_with_factors(short, np.ones(6))
+
+
+def test_solve_reads_replaced_factors_by_value():
+    n = B + 5
+    f = ss.gko_factor(*ss.random_cauchy_type(n, 2, seed=6), "row1col1")
+    b = np.linspace(1.0, 2.0, n) + 0.25j
+    fortran = dataclasses.replace(f, L=np.asfortranarray(f.L), U=np.asfortranarray(f.U))
+    assert not fortran.L.flags.c_contiguous and not fortran.U.flags.c_contiguous
+    assert ss.solve_with_factors(fortran, b).tobytes() == ss.solve_with_factors(f, b).tobytes()
+    single = dataclasses.replace(f, L=f.L.astype(np.complex64), U=f.U.astype(np.complex64))
+    widened = dataclasses.replace(f, L=single.L.astype(complex), U=single.U.astype(complex))
+    x = ss.solve_with_factors(single, b)
+    assert x.tobytes() == ss.solve_with_factors(widened, b).tobytes()
+    x_ref = ss.solve_with_factors(f, b)
+    assert np.linalg.norm(x - x_ref) <= 1e-4 * np.linalg.norm(x_ref)
+
+
 @pytest.mark.parametrize("shape", [(5,), (5, 2)], ids=["one-rhs", "two-rhs"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
 def test_solve_rejects_non_finite_rhs(shape, bad):
@@ -395,14 +461,20 @@ def test_solve_rejects_non_finite_rhs(shape, bad):
         ss.solve_with_factors(f, b)
 
 
-@pytest.mark.parametrize("k", [40, 99], ids=["middle-block", "last-block"])
-def test_solve_zero_diagonal_in_later_block_raises(k):
-    f = ss.gko_factor(*ss.random_cauchy_type(100, 2, seed=3), "partial")
+@pytest.mark.parametrize("k", [B + 8, 3 * B + 3], ids=["middle-block", "last-block"])
+def test_solve_zero_diagonal_in_later_block_raises(k, monkeypatch):
+    n = 3 * B + 4
+    f = ss.gko_factor(*ss.random_cauchy_type(n, 2, seed=3), "partial")
     f.U[k, k] = 0.0
+
+    def unreachable(*args):
+        raise AssertionError("the block solve ran on a U with a zero diagonal")
+
+    monkeypatch.setattr(cauchy_gko, "_solve_block", unreachable)
     with pytest.raises(ss.SingularMatrixError, match="zero diagonal"):
-        ss.solve_with_factors(f, np.ones(100))
+        ss.solve_with_factors(f, np.ones(n))
     with pytest.raises(ss.SingularMatrixError, match="zero diagonal"):
-        ss.solve_with_factors(f, np.ones((100, 2)))
+        ss.solve_with_factors(f, np.ones((n, 2)))
 
 
 def test_cauchy_solve_order_one():
@@ -540,20 +612,39 @@ def test_stored_norms_match_the_factors():
     assert row_swaps > 0 and col_swaps > 0
 
 
-def test_kernel_loader_builds_into_an_empty_cache(tmp_path, monkeypatch):
-    from structsolve import cauchy_gko
+@pytest.mark.parametrize("upper", [False, True], ids=["unit-lower", "upper"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_block_solve_substitutes_through_one_diagonal_block(upper, m):
+    rng = np.random.default_rng(9)
+    n, lo, b = 9, 2, 5
+    T = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    X = rng.uniform(-1.0, 1.0, (b, m)) + 1j * rng.uniform(-1.0, 1.0, (b, m))
+    block = T[lo : lo + b, lo : lo + b]
+    block = np.triu(block) if upper else np.tril(block, -1) + np.eye(b)
+    expected = np.linalg.solve(block, X)
+    # the unit-lower solve must not read the diagonal it assumes
+    T[lo : lo + b, lo : lo + b] = block + (0 if upper else 7 * np.eye(b))
+    cauchy_gko._solve_block(b, m, int(upper), T[lo:, lo:].ctypes.data, n, X.ctypes.data)
+    assert_allclose(X, expected, rtol=1e-12)
 
-    kernel = cauchy_gko._load_kernel(cache_dir=tmp_path)
+
+def test_kernel_loader_builds_into_an_empty_cache(tmp_path, monkeypatch):
+    eliminate, solve_block = cauchy_gko._load_kernel(cache_dir=tmp_path)
     built = [path.name for path in tmp_path.iterdir()]
     assert len(built) == 1 and built[0].startswith("_gko_kernel-") and built[0].endswith(".so")
-    gen, nodes = ss.random_cauchy_type(8, 2, seed=3)
+    n = 2 * B + 3
+    gen, nodes = ss.random_cauchy_type(n, 2, seed=3)
+    b = np.linspace(-1.0, 1.0, 2 * n).reshape(n, 2)
     expected = ss.gko_factor(gen, nodes, "row1col1")
-    monkeypatch.setattr(cauchy_gko, "_kernel", kernel)
+    x_expected = ss.solve_with_factors(expected, b)
+    monkeypatch.setattr(cauchy_gko, "_kernel", eliminate)
+    monkeypatch.setattr(cauchy_gko, "_solve_block", solve_block)
     got = ss.gko_factor(gen, nodes, "row1col1")
     assert got.L.tobytes() == expected.L.tobytes()
     assert got.U.tobytes() == expected.U.tobytes()
     assert np.array_equal(got.row_perm.idx, expected.row_perm.idx)
     assert np.array_equal(got.col_perm.idx, expected.col_perm.idx)
+    assert ss.solve_with_factors(got, b).tobytes() == x_expected.tobytes()
 
 
 @pytest.mark.parametrize("compiler", ["no-such-cc", "false"], ids=["missing", "failing"])

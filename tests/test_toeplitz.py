@@ -1,5 +1,7 @@
 """Tests for the Toeplitz generators, DFT conversion, and solve pipeline."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -165,6 +167,13 @@ def test_solve_rejects_wrong_length():
     f = ss.toeplitz_factor(ss.random_toeplitz(4, seed=0))
     with pytest.raises(ValueError):
         ss.toeplitz_solve(f, np.ones(5))
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 3), ()], ids=["3-d", "scalar"])
+def test_solve_rejects_rhs_that_is_not_one_or_two_dimensional(shape):
+    f = ss.toeplitz_factor(ss.random_toeplitz(4, seed=0))
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        ss.toeplitz_solve(f, np.ones(shape))
 
 
 @pytest.mark.parametrize("shape", [(4,), (4, 3)], ids=["one-rhs", "three-rhs"])
