@@ -41,7 +41,7 @@ print(f"\nbackward error ||F* L U F D - T||_F / ||T||_F = {rep.rel_err:.3e}")
 
 # the transform itself: materialized Cauchy generators equal F T D^-1 F*
 gen_c, nodes = ss.to_cauchy_generators(gen)
-F = fact.plan.matrix()
+F = ss.apply_F(fact.plan, np.eye(n))
 dense_transform = F @ T @ np.diag(np.conj(fact.d)) @ F.conj().T
 err = np.linalg.norm(ss.materialize_cauchy(gen_c, nodes) - dense_transform)
 print(f"transform identity error: {err:.3e}")

@@ -6,7 +6,8 @@ this script:
     python scripts/factor_digest.py > digests.txt
 
 Running it in two checkouts and diffing the output shows whether a change
-kept the factorizations bit-identical.  Each line is ``<label> <strategy>
+kept the factorizations bit-identical; ``scripts/digest_against.sh REV``
+does that against a git revision.  Each line is ``<label> <strategy>
 <pivot digest> <full digest>``.  The pivot digest covers ``pivot_index``,
 ``pivot_is_col``, ``row_perm`` and ``col_perm``, so a change that keeps
 every pivot differs only in the second digest.  The full digest covers L,

@@ -12,7 +12,6 @@ from .cauchy_gko import (
     GKOFactorization,
     GrowthTrace,
     PivotStrategy,
-    cauchy_solve,
     gko_factor,
     solve_with_factors,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "backward_error_cauchy",
     "backward_error_toeplitz",
     "cancellation_cauchy",
-    "cauchy_solve",
     "cond_estimate",
     "dense_gepp_factor",
     "dense_schur_complement",

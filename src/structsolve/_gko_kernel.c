@@ -12,6 +12,17 @@
  * squares can neither overflow nor lose the result, and hypot outside it;
  * they can differ from numpy's hypot by an ulp or two.  Argmax scans take
  * the first maximum (a strict >).
+ *
+ * Each elimination step describes the two sides of the matrix with one
+ * descriptor type, side: the rows (nodes t, generators phi, the recovered
+ * column, L, pidx) and the columns (nodes s, psi^T, the recovered row, U,
+ * cidx).  A column interchange on R is a row interchange on R^T, whose
+ * generators are (psi^T, phi^T), so recover, interchange and update are
+ * each one routine called once per side.  What differs between the sides
+ * is data in the descriptor: which node leads the gap (t_j - s_k for the
+ * column, t_k - s_j for the row) and where a line of L or U, or of inv_gap,
+ * starts and how far apart its entries are.  gko_eliminate picks the side
+ * whose line moved and recovers the other side from it.
  */
 
 #include <math.h>
@@ -107,15 +118,6 @@ static inline double abs_dot(const cplx *x, const double *y_abs, ptrdiff_t alpha
     return acc;
 }
 
-static ptrdiff_t first_max(const double *v, ptrdiff_t lo, ptrdiff_t hi)
-{
-    ptrdiff_t best = lo;
-    for (ptrdiff_t j = lo + 1; j < hi; j++)
-        if (v[j] > v[best])
-            best = j;
-    return best;
-}
-
 static inline void swap_c(cplx *a, cplx *b)
 {
     cplx tmp = *a;
@@ -123,17 +125,12 @@ static inline void swap_c(cplx *a, cplx *b)
     *b = tmp;
 }
 
-static inline void swap_i(ptrdiff_t *a, ptrdiff_t *b)
+/* swap entries k lead + i step and p lead + i step of a, for i < len */
+static void swap_lines(cplx *a, ptrdiff_t k, ptrdiff_t p, ptrdiff_t lead, ptrdiff_t step,
+                       ptrdiff_t len)
 {
-    ptrdiff_t tmp = *a;
-    *a = *b;
-    *b = tmp;
-}
-
-static void swap_rows(cplx *a, cplx *b, ptrdiff_t len)
-{
-    for (ptrdiff_t j = 0; j < len; j++)
-        swap_c(a + j, b + j);
+    for (ptrdiff_t i = 0; i < len; i++)
+        swap_c(a + k * lead + i * step, a + p * lead + i * step);
 }
 
 /* ||V(k) o R_k||_F / ||R_k||_F at the step-k generators, NaN when R_k = 0 */
@@ -172,30 +169,81 @@ static double hat_ratio_step(ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k, const cp
     return sqrt(num_sq) / sqrt(den_sq);
 }
 
-/* Step-k row of the reduced matrix into urow[k..n-1], with urow[k] = head;
- * its numerators phi_k psi_j go to row_num[k+1..n-1]. */
-static void recover_row(ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k, const cplx *phi,
-                        const cplx *psi, const cplx *t, const cplx *s, cplx head,
-                        cplx *urow, cplx *row_num)
+/* One side of the matrix, the rows or the columns (see the top of the file).
+ * Line j of a side is its node j, generator row j, entry j of the recovered
+ * line, row j of L or column j of U, and row or column j of inv_gap. */
+typedef struct {
+    cplx *node, *gen;      /* t or s; phi or psi^T, alpha entries a line */
+    cplx *line, *num;      /* step-k column or row of the reduced matrix and
+                            * the numerators of its entries */
+    double *mag, *gen_abs; /* |line| and |gen_k|, entrywise */
+    ptrdiff_t *idx;        /* pidx or cidx */
+    int rows;              /* 1 on the rows: the gap is t_j - s_k rather than
+                            * t_k - s_j, and the factor is L, whose entries
+                            * line_j / u_kk are gathered in the panel */
+    cplx *fac, *panel;     /* L or U; the L panel, NULL for U */
+    ptrdiff_t lead, step;  /* line j of fac and of inv_gap starts at j lead,
+                            * its entries step apart */
+    ptrdiff_t fac_len, panel_lead, panel_len; /* finished entries a line */
+    double *v_max, *hat;   /* per-step V maximum and hatted norm */
+    double sq;             /* running ||L||_F^2 - n or ||U||_F^2 */
+} side;
+
+/* t - s between node j of side a and node k of the other side b */
+static inline cplx gap(const side *a, ptrdiff_t j, const side *b, ptrdiff_t k)
 {
-    const cplx *phi_k = phi + k * alpha;
-    urow[k] = head;
-    for (ptrdiff_t j = k + 1; j < n; j++) {
-        row_num[j] = dot(phi_k, psi + j * alpha, alpha);
-        urow[j] = cdiv(row_num[j], csub(t[k], s[j]));
+    return a->rows ? csub(a->node[j], b->node[k]) : csub(b->node[k], a->node[j]);
+}
+
+/* Step-k line of side a into a->line[from..n-1]: entry j is gen_j gen'_k
+ * over its gap, gen' being the other side b's generators, and its numerator
+ * goes to a->num[j].  The diagonal entry belongs to both lines, so from > k
+ * copies it from b. */
+static void recover(side *a, const side *b, ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k,
+                    ptrdiff_t from)
+{
+    if (from > k) {
+        a->line[k] = b->line[k];
+        a->num[k] = b->num[k];
+    }
+    for (ptrdiff_t j = from; j < n; j++) {
+        a->num[j] = dot(a->gen + j * alpha, b->gen + k * alpha, alpha);
+        a->line[j] = cdiv(a->num[j], gap(a, j, b, k));
     }
 }
 
-/* Step-k column into col[k..n-1] and its numerators phi_j psi_k into
- * col_num[k..n-1]. */
-static void recover_col(ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k, const cplx *phi,
-                        const cplx *psi, const cplx *t, const cplx *s, cplx *col,
-                        cplx *col_num)
+/* |line| into a->mag[from..n-1]; returns the first largest of a->mag[k..n-1] */
+static ptrdiff_t largest(side *a, ptrdiff_t n, ptrdiff_t k, ptrdiff_t from)
 {
-    const cplx *psi_k = psi + k * alpha;
-    for (ptrdiff_t j = k; j < n; j++) {
-        col_num[j] = dot(phi + j * alpha, psi_k, alpha);
-        col[j] = cdiv(col_num[j], csub(t[j], s[k]));
+    for (ptrdiff_t j = from; j < n; j++)
+        a->mag[j] = cmag(a->line[j]);
+    ptrdiff_t best = k;
+    for (ptrdiff_t j = k + 1; j < n; j++)
+        if (a->mag[j] > a->mag[best])
+            best = j;
+    return best;
+}
+
+/* Swap lines k and p of side a: node, permutation entry, generator row,
+ * recovered entry and numerator, the finished part of the factor and, when
+ * inv_gap is not NULL, the reciprocal gaps. */
+static void interchange(side *a, ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k, ptrdiff_t p,
+                        double *inv_gap)
+{
+    ptrdiff_t idx = a->idx[k];
+    a->idx[k] = a->idx[p];
+    a->idx[p] = idx;
+    swap_c(a->node + k, a->node + p);
+    swap_c(a->line + k, a->line + p);
+    swap_c(a->num + k, a->num + p);
+    swap_lines(a->gen, k, p, alpha, 1, alpha);
+    swap_lines(a->fac, k, p, a->lead, a->step, a->fac_len);
+    swap_lines(a->panel, k, p, a->panel_lead, 1, a->panel_len);
+    for (ptrdiff_t i = 0; inv_gap && i < n; i++) {
+        double *x = inv_gap + k * a->lead + i * a->step;
+        double *y = inv_gap + p * a->lead + i * a->step, g = *x;
+        *x = *y;
+        *y = g;
     }
 }
 
@@ -204,6 +252,42 @@ static inline double v_mag(double num, cplx den, double v_floor)
 {
     double den_mag = cmag(den);
     return den_mag < v_floor ? INFINITY : num / den_mag;
+}
+
+/* V statistics, hatted norm and Schur update of side a past the pivot
+ * u_kk, b being the other side.  Each generator is read just before
+ *   gen_j <- gen_j - (line_j / u_kk) gen_k.
+ * The hatted entry |v_j||factor entry j| is |gen_j||gen'_k| / |gap|, for L
+ * over |u_kk| as well: the V denominator cancels, so degenerate ratios never
+ * reach the hatted norms.  v_max and hat_sq arrive holding the diagonal's
+ * V entry and squared hatted entry. */
+static void update(side *a, const side *b, ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k,
+                   cplx u_kk, double v_floor, double v_max, double hat_sq)
+{
+    divisor by_pivot = prepare(u_kk);
+    double scale = a->rows ? cmag(u_kk) : 1.0, sq = a->sq;
+    const cplx *gen_k = a->gen + k * alpha;
+    for (ptrdiff_t j = k + 1; j < n; j++) {
+        cplx *gen_j = a->gen + j * alpha;
+        double num = abs_dot(gen_j, b->gen_abs, alpha);
+        double v = v_mag(num, a->num[j], v_floor);
+        if (v > v_max)
+            v_max = v;
+        double h = num / (cmag(gap(a, j, b, k)) * scale);
+        hat_sq += h * h;
+        cplx w = divide(a->line[j], by_pivot), e = a->line[j];
+        if (a->rows)
+            a->panel[j * a->panel_lead + a->panel_len] = e = w;
+        sq += e.re * e.re + e.im * e.im;
+        for (ptrdiff_t m = 0; m < alpha; m++) {
+            cplx d = cmul(w, gen_k[m]);
+            gen_j[m].re -= d.re;
+            gen_j[m].im -= d.im;
+        }
+    }
+    a->v_max[k] = v_max;
+    a->hat[k] = sqrt(hat_sq);
+    a->sq = sq;
 }
 
 /* Factor the Cauchy-type matrix with nodes t, s and generators phi (n x
@@ -232,11 +316,14 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
                         double *hat_l, double *hat_u, double *inv_gap, cplx *panel,
                         cplx *work_c, double *work_r, double *sums)
 {
-    cplx *col = work_c, *col_num = work_c + n, *row_num = work_c + 2 * n;
-    double *col_mag = work_r, *row_mag = work_r + n;
     double *psi_abs = work_r + 2 * n;
-    double *phi_k_abs = psi_abs + n * alpha, *psi_k_abs = phi_k_abs + alpha;
-    double l_sq = 0.0, u_sq = 0.0;
+    side rows = {.node = t, .gen = phi, .line = work_c, .num = work_c + n, .mag = work_r,
+                 .gen_abs = psi_abs + n * alpha, .idx = pidx, .rows = 1, .fac = L,
+                 .panel = panel, .lead = n, .step = 1, .panel_lead = panel_width,
+                 .v_max = v_col_max, .hat = hat_l};
+    side cols = {.node = s, .gen = psi, .num = work_c + 2 * n, .mag = work_r + n,
+                 .gen_abs = rows.gen_abs + alpha, .idx = cidx, .fac = U, .lead = 1,
+                 .step = n, .v_max = v_row_max, .hat = hat_u};
 
     if (hat)
         for (ptrdiff_t i = 0; i < n; i++)
@@ -244,148 +331,61 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
                 inv_gap[i * n + j] = 1.0 / cmag(csub(t[i], s[j]));
 
     for (ptrdiff_t k = 0; k < n; k++) {
-        cplx *urow = U + k * n;
         /* columns k0..k of L are held in the panel until it is flushed */
         ptrdiff_t k0 = k - k % panel_width, c = k - k0;
+        rows.fac_len = k0;
+        rows.panel_len = c;
+        cols.fac_len = k;
+        cols.line = U + k * n;
         if (hat)
-            hat_ratio[k] = hat_ratio_step(n, alpha, k, phi, psi, inv_gap, psi_abs, phi_k_abs);
+            hat_ratio[k] = hat_ratio_step(n, alpha, k, phi, psi, inv_gap, psi_abs, rows.gen_abs);
 
-        recover_col(n, alpha, k, phi, psi, t, s, col, col_num);
-        for (ptrdiff_t j = k; j < n; j++)
-            col_mag[j] = cmag(col[j]);
-        ptrdiff_t q = first_max(col_mag, k, n);
-        double cand_max = col_mag[q];
-        ptrdiff_t p = strategy == PIVOT_NONE ? k : q;
-        int axis = 0;
+        recover(&rows, &cols, n, alpha, k, k);
+        ptrdiff_t q = largest(&rows, n, k, k);
+        double cand_max = rows.mag[q];
+        side *moved = &rows, *other = &cols;
         if (strategy == PIVOT_ROW1_COL1) {
             /* the diagonal entry belongs to both candidate sets; reusing the
              * column's value keeps a row-versus-column tie on the row */
-            recover_row(n, alpha, k, phi, psi, t, s, col[k], urow, row_num);
-            row_num[k] = col_num[k];
-            row_mag[k] = col_mag[k];
-            for (ptrdiff_t j = k + 1; j < n; j++)
-                row_mag[j] = cmag(urow[j]);
-            ptrdiff_t q_row = first_max(row_mag, k, n);
-            if (row_mag[q_row] > cand_max)
-                cand_max = row_mag[q_row];
-            if (row_mag[q_row] > col_mag[p]) {
-                axis = 1;
-                p = q_row;
+            recover(&cols, &rows, n, alpha, k, k + 1);
+            cols.mag[k] = rows.mag[k];
+            ptrdiff_t q_row = largest(&cols, n, k, k + 1);
+            if (cols.mag[q_row] > cand_max) {
+                cand_max = cols.mag[q_row];
+                q = q_row;
+                moved = &cols;
+                other = &rows;
             }
         }
-
-        /* a column interchange on R is a row interchange on R^T, whose
-         * generators are (psi^T, phi^T): both swap a node, a permutation
-         * entry, a generator row and the finished part of a factor */
-        if (p != k && axis == 0) {
-            swap_c(t + k, t + p);
-            swap_i(pidx + k, pidx + p);
-            swap_c(col + k, col + p);
-            swap_c(col_num + k, col_num + p);
-            swap_rows(phi + k * alpha, phi + p * alpha, alpha);
-            swap_rows(L + k * n, L + p * n, k0);
-            swap_rows(panel + k * panel_width, panel + p * panel_width, c);
-            if (hat)
-                for (ptrdiff_t j = 0; j < n; j++) {
-                    double tmp = inv_gap[k * n + j];
-                    inv_gap[k * n + j] = inv_gap[p * n + j];
-                    inv_gap[p * n + j] = tmp;
-                }
-        } else if (p != k) {
-            swap_c(s + k, s + p);
-            swap_i(cidx + k, cidx + p);
-            swap_c(urow + k, urow + p);
-            swap_c(row_num + k, row_num + p);
-            swap_rows(psi + k * alpha, psi + p * alpha, alpha);
-            for (ptrdiff_t i = 0; i < k; i++)
-                swap_c(U + i * n + k, U + i * n + p);
-            if (hat)
-                for (ptrdiff_t i = 0; i < n; i++) {
-                    double tmp = inv_gap[i * n + k];
-                    inv_gap[i * n + k] = inv_gap[i * n + p];
-                    inv_gap[i * n + p] = tmp;
-                }
-        }
-        cplx u_kk;
-        if (axis == 0) {
-            u_kk = col[k];
-            recover_row(n, alpha, k, phi, psi, t, s, u_kk, urow, row_num);
-        } else {
-            u_kk = urow[k];
-            recover_col(n, alpha, k, phi, psi, t, s, col, col_num);
-            col[k] = u_kk;
-        }
-        row_num[k] = col_num[k];
+        ptrdiff_t p = strategy == PIVOT_NONE ? k : q;
+        if (p != k)
+            interchange(moved, n, alpha, k, p, hat ? inv_gap : NULL);
+        /* the side that did not move is recovered from the one that did */
+        recover(other, moved, n, alpha, k, k + 1);
+        cplx u_kk = moved->line[k];
         piv_index[k] = p;
-        piv_is_col[k] = (unsigned char)axis;
-
+        piv_is_col[k] = moved == &cols;
         piv_mag[k] = cmag(u_kk);
         if (piv_mag[k] <= (double)n * eps * cand_max) {
             sums[2] = cand_max;
             return k;
         }
 
-        /* V statistics and hatted norms at the pivoted step-k generators,
-         * each generator read just before its Schur update:
-         *   phi_j <- phi_j - l_jk phi_k,  psi_j <- psi_j - psi_k u_kj / u_kk.
-         * |v_jk l_jk| = |phi_j||psi_k| / (|t_j - s_k| |u_kk|) and
-         * |v_kj u_kj| = |phi_k||psi_j| / |t_k - s_j|: the V denominator
-         * cancels, so degenerate ratios never reach the hatted norms. */
-        const cplx *phi_k = phi + k * alpha, *psi_k = psi + k * alpha;
+        /* V statistics and hatted norms at the pivoted step-k generators.
+         * The diagonal's hatted entry is |v_kk| in L, whose diagonal is one,
+         * and |phi_k||psi_k| / |t_k - s_k| in U. */
         for (ptrdiff_t m = 0; m < alpha; m++) {
-            phi_k_abs[m] = cmag(phi_k[m]);
-            psi_k_abs[m] = cmag(psi_k[m]);
+            rows.gen_abs[m] = cmag(phi[k * alpha + m]);
+            cols.gen_abs[m] = cmag(psi[k * alpha + m]);
         }
-        divisor by_pivot = prepare(u_kk);
-
-        double num = abs_dot(phi_k, psi_k_abs, alpha);
-        double col_max = v_mag(num, col_num[k], v_floor);
-        v_kk[k] = cmag(col_num[k]) < v_floor ? (cplx){INFINITY, 0.0}
-                                              : cdiv((cplx){num, 0.0}, col_num[k]);
-        double v_kk_mag = cmag(v_kk[k]);
-        double hat_l_sq = v_kk_mag * v_kk_mag;
-        for (ptrdiff_t j = k + 1; j < n; j++) {
-            cplx *phi_j = phi + j * alpha;
-            num = abs_dot(phi_j, psi_k_abs, alpha);
-            double v = v_mag(num, col_num[j], v_floor);
-            if (v > col_max)
-                col_max = v;
-            double h = num / (cmag(csub(t[j], s[k])) * piv_mag[k]);
-            hat_l_sq += h * h;
-            cplx l = divide(col[j], by_pivot);
-            panel[j * panel_width + c] = l;
-            l_sq += l.re * l.re + l.im * l.im;
-            for (ptrdiff_t m = 0; m < alpha; m++) {
-                cplx d = cmul(l, phi_k[m]);
-                phi_j[m].re -= d.re;
-                phi_j[m].im -= d.im;
-            }
-        }
-        v_col_max[k] = col_max;
-        hat_l[k] = sqrt(hat_l_sq);
-
-        double row_max = 0.0, hat_u_sq = 0.0;
-        for (ptrdiff_t j = k; j < n; j++) {
-            cplx *psi_j = psi + j * alpha;
-            num = abs_dot(psi_j, phi_k_abs, alpha);
-            double v = v_mag(num, row_num[j], v_floor);
-            if (j == k || v > row_max)
-                row_max = v;
-            double h = num / cmag(csub(t[k], s[j]));
-            hat_u_sq += h * h;
-            cplx u = urow[j];
-            u_sq += u.re * u.re + u.im * u.im;
-            if (j > k) {
-                cplx w = divide(u, by_pivot);
-                for (ptrdiff_t m = 0; m < alpha; m++) {
-                    cplx d = cmul(psi_k[m], w);
-                    psi_j[m].re -= d.re;
-                    psi_j[m].im -= d.im;
-                }
-            }
-        }
-        v_row_max[k] = row_max;
-        hat_u[k] = sqrt(hat_u_sq);
+        double num = abs_dot(phi + k * alpha, cols.gen_abs, alpha);
+        double v_diag = v_mag(num, rows.num[k], v_floor);
+        v_kk[k] = cmag(rows.num[k]) < v_floor ? (cplx){INFINITY, 0.0}
+                                               : cdiv((cplx){num, 0.0}, rows.num[k]);
+        double h_l = cmag(v_kk[k]), h_u = num / cmag(csub(t[k], s[k]));
+        cols.sq += u_kk.re * u_kk.re + u_kk.im * u_kk.im;
+        update(&rows, &cols, n, alpha, k, u_kk, v_floor, v_diag, h_l * h_l);
+        update(&cols, &rows, n, alpha, k, u_kk, v_floor, v_diag, h_u * h_u);
 
         if (c == panel_width - 1 || k == n - 1)
             for (ptrdiff_t j = k0 + 1; j < n; j++) {
@@ -393,8 +393,8 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
                 memcpy(L + j * n + k0, panel + j * panel_width, (size_t)width * sizeof(cplx));
             }
     }
-    sums[0] = l_sq;
-    sums[1] = u_sq;
+    sums[0] = rows.sq;
+    sums[1] = cols.sq;
     return -1;
 }
 

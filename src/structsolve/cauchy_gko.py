@@ -37,7 +37,6 @@ __all__ = [
     "GKOFactorization",
     "gko_factor",
     "solve_with_factors",
-    "cauchy_solve",
 ]
 
 #: |denominator| below this counts as a degenerate (flagged-infinite) V entry
@@ -396,11 +395,3 @@ def solve_with_factors(f: GKOFactorization, b) -> np.ndarray:
     _substitute(L, z, upper=False)
     _substitute(U, z, upper=True)
     return z[f.col_perm.idx]
-
-
-def cauchy_solve(
-    gen: GeneratorPair, nodes: CauchyNodes, b, strategy=PivotStrategy.PARTIAL_ROW
-):
-    """Factor a Cauchy-type system and solve it; returns (x, trace)."""
-    f = gko_factor(gen, nodes, strategy)
-    return solve_with_factors(f, b), f.trace

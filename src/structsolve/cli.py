@@ -37,13 +37,12 @@ from .core import (
 )
 from .dft import DftPlan, scaling_D
 from .diagnostics import (
-    BackwardErrorReport,
+    _solve_errors,
     backward_error_cauchy,
     backward_error_toeplitz,
     growth_report,
     solve_quality,
 )
-from .oracle import dense_solve
 from .sweep import SweepConfig, records_to_csv, run_sweep
 from .toeplitz import (
     ToeplitzFactorization,
@@ -187,12 +186,7 @@ def _cmd_solve(args) -> int:
         gen, nodes = payload
         f = gko_factor(gen, nodes, strategy)
         x = _solve_or_input_error(solve_with_factors, f, b)
-        R = materialize_cauchy(gen, nodes)
-        x_oracle = dense_solve(R, b)
-        report = BackwardErrorReport(
-            residual=float(np.linalg.norm(R @ x - b) / np.linalg.norm(b)),
-            forward_err=float(np.linalg.norm(x - x_oracle) / np.linalg.norm(x_oracle)),
-        )
+        report = _solve_errors(materialize_cauchy(gen, nodes), b, x)
     doc = {"x": _encode(x), "report": _encode(report.to_dict())}
     _write(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK

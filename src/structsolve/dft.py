@@ -22,26 +22,19 @@ __all__ = ["DftPlan", "apply_F", "apply_F_inv", "toeplitz_cauchy_nodes", "scalin
 
 @dataclass(frozen=True)
 class DftPlan:
-    """Precomputed n-th roots of unity for order-n transforms.
+    """Order of the unitary transforms :func:`apply_F` and :func:`apply_F_inv`.
 
-    Each root comes from one exponential evaluation per index (never from
-    repeated multiplication, which would accumulate drift).
+    The transforms run as FFTs, so the plan holds nothing but ``n``; a dense
+    F, where one is wanted, is ``apply_F(plan, np.eye(n))``.
     """
 
     n: int
-    roots: np.ndarray
 
     @classmethod
     def create(cls, n: int) -> "DftPlan":
         if n < 1:
             raise ValueError("transform order must be positive")
-        k = np.arange(n)
-        return cls(n=n, roots=np.exp(2j * np.pi * k / n))
-
-    def matrix(self) -> np.ndarray:
-        """Dense F, built from the precomputed roots via index arithmetic."""
-        k = np.arange(self.n)
-        return self.roots[np.outer(k, k) % self.n] / np.sqrt(self.n)
+        return cls(n=n)
 
 
 def _check_len(plan: DftPlan, v) -> np.ndarray:

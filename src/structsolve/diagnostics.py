@@ -24,6 +24,7 @@ from .core import (
     ToeplitzCoeffs,
     materialize_cauchy,
 )
+from .dft import apply_F, apply_F_inv
 from .oracle import dense_solve, dense_toeplitz
 from .toeplitz import ToeplitzFactorization
 
@@ -97,6 +98,17 @@ class BackwardErrorReport:
         }
 
 
+def _check_orders(n: int, **orders: int) -> None:
+    """Raise ValueError unless each named input is of the factorization's order n.
+
+    Without the check numpy would broadcast an order-1 input against an
+    order-n factorization and return a number.
+    """
+    for name, m in orders.items():
+        if m != n:
+            raise ValueError(f"factorization is order {n}, {name} order {m}")
+
+
 def v_matrix(gen: GeneratorPair) -> np.ndarray:
     """Elementwise cancellation ratio V with |phi||psi| = V o (phi psi).
 
@@ -117,6 +129,7 @@ def growth_report(
     them (large n), g2 and every quantity derived from it are NaN.
     """
     n = f.n
+    _check_orders(n, trace=trace.n, nodes=nodes.n)
     norm_l, norm_u = f.norm_L, f.norm_U
     hat_l = float(np.sqrt(np.sum(trace.hat_l_col**2)))
     hat_u = float(np.sqrt(np.sum(trace.hat_u_row**2)))
@@ -159,6 +172,7 @@ def backward_error_cauchy(
     gen: GeneratorPair, nodes: CauchyNodes, f: GKOFactorization
 ) -> BackwardErrorReport:
     """|| P^T L U P'^T - R ||_F against the densely materialized matrix."""
+    _check_orders(f.n, generators=gen.n, nodes=nodes.n)
     R = materialize_cauchy(gen, nodes)
     abs_err = float(np.linalg.norm(f.reconstruct() - R))
     return BackwardErrorReport(abs_err=abs_err, rel_err=abs_err / float(np.linalg.norm(R)))
@@ -167,10 +181,15 @@ def backward_error_cauchy(
 def backward_error_toeplitz(
     c: ToeplitzCoeffs, f: ToeplitzFactorization
 ) -> BackwardErrorReport:
-    """|| F* (P^T L U P'^T) F D - T ||_F for the Toeplitz pipeline."""
+    """|| F* (P^T L U P'^T) F D - T ||_F for the Toeplitz pipeline.
+
+    F* M F is formed by transforms, O(n^2 log n): F is symmetric, so
+    (F* M) F = (F (F* M)^T)^T.
+    """
+    _check_orders(f.n, coefficients=c.n)
     T = dense_toeplitz(c)
-    F = f.plan.matrix()
-    rec = F.conj().T @ f.inner.reconstruct() @ F * f.d[None, :]
+    left = apply_F_inv(f.plan, f.inner.reconstruct())
+    rec = apply_F(f.plan, left.T).T * f.d[None, :]
     abs_err = float(np.linalg.norm(rec - T))
     return BackwardErrorReport(abs_err=abs_err, rel_err=abs_err / float(np.linalg.norm(T)))
 
@@ -200,6 +219,16 @@ def recover_from_displacement(b) -> np.ndarray:
     return 0.5 * (totals[m] - 2.0 * before[m, j])
 
 
+def _solve_errors(A: np.ndarray, b, x_tilde) -> BackwardErrorReport:
+    """Residual ||A x - b|| / ||b|| and forward error against the dense oracle."""
+    residual = float(np.linalg.norm(A @ x_tilde - b) / np.linalg.norm(b))
+    x_oracle = dense_solve(A, b)
+    forward = float(
+        np.linalg.norm(x_tilde - x_oracle) / np.linalg.norm(x_oracle)
+    )
+    return BackwardErrorReport(residual=residual, forward_err=forward)
+
+
 def solve_quality(c: ToeplitzCoeffs, b, x_tilde) -> BackwardErrorReport:
     """Residual and oracle-relative forward error of a computed solution."""
     b = np.asarray(b, dtype=complex)
@@ -207,9 +236,4 @@ def solve_quality(c: ToeplitzCoeffs, b, x_tilde) -> BackwardErrorReport:
     T = dense_toeplitz(c)
     if b.shape[0] != c.n or x_tilde.shape[0] != c.n:
         raise ValueError("size mismatch between coefficients, b, and x")
-    residual = float(np.linalg.norm(T @ x_tilde - b) / np.linalg.norm(b))
-    x_oracle = dense_solve(T, b)
-    forward = float(
-        np.linalg.norm(x_tilde - x_oracle) / np.linalg.norm(x_oracle)
-    )
-    return BackwardErrorReport(residual=residual, forward_err=forward)
+    return _solve_errors(T, b, x_tilde)

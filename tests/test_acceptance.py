@@ -38,7 +38,7 @@ def test_criterion_2_transform_identity():
     start = time.perf_counter()
     count = 0
     for n in (2, 4, 8, 16, 32):
-        F = ss.DftPlan.create(n).matrix()
+        F = ss.apply_F(ss.DftPlan.create(n), np.eye(n))
         d_conj = np.conj(ss.scaling_D(n))
         for j in range(10):
             coeffs = ss.random_toeplitz(n, seed=93 + 17 * n + j)

@@ -348,7 +348,7 @@ def test_solve_agrees_with_dense_oracle():
     gen, nodes = ss.random_cauchy_type(8, 2, seed=19)
     R = ss.materialize_cauchy(gen, nodes)
     b = np.arange(1.0, 9.0)
-    x, _ = ss.cauchy_solve(gen, nodes, b, "partial")
+    x = ss.solve_with_factors(ss.gko_factor(gen, nodes, "partial"), b)
     x_dense = ss.dense_solve(R, b)
     assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
 
@@ -479,9 +479,10 @@ def test_solve_zero_diagonal_in_later_block_raises(k, monkeypatch):
 
 def test_cauchy_solve_order_one():
     gen, nodes = _ones_cauchy([3.0], [1.0])
-    x, trace = ss.cauchy_solve(gen, nodes, [1.0], "partial")
+    f = ss.gko_factor(gen, nodes, "partial")
+    x = ss.solve_with_factors(f, [1.0])
     assert_allclose(x, [2.0])
-    assert trace.n == 1
+    assert f.trace.n == 1
 
 
 def test_cauchy_solve_matches_toeplitz_pipeline():
@@ -491,7 +492,8 @@ def test_cauchy_solve_matches_toeplitz_pipeline():
     x_t = ss.toeplitz_solve(ss.toeplitz_factor(coeffs), b)
     gen, nodes = ss.to_cauchy_generators(ss.toeplitz_generators(coeffs))
     plan = ss.DftPlan.create(n)
-    y, _ = ss.cauchy_solve(gen, nodes, ss.apply_F(plan, b.astype(complex)))
+    f = ss.gko_factor(gen, nodes)
+    y = ss.solve_with_factors(f, ss.apply_F(plan, b.astype(complex)))
     x_c = np.conj(ss.scaling_D(n)) * ss.apply_F_inv(plan, y)
     assert_allclose(x_t, x_c, atol=1e-13)
 

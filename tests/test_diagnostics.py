@@ -131,6 +131,37 @@ def test_backward_error_toeplitz_identity_and_random():
     assert ss.backward_error_toeplitz(coeffs, f).rel_err <= 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 4])
+def test_backward_error_toeplitz_rejects_another_order(m):
+    f = ss.toeplitz_factor(ss.random_toeplitz(8, seed=1))
+    coeffs = ss.ToeplitzCoeffs(a=np.full(2 * m - 1, 5.0))
+    with pytest.raises(ValueError, match=f"factorization is order 8, coefficients order {m}"):
+        ss.backward_error_toeplitz(coeffs, f)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_backward_error_cauchy_rejects_another_order(m):
+    gen, nodes = ss.random_cauchy_type(8, 2, seed=3)
+    f = ss.gko_factor(gen, nodes, "partial")
+    gen_m, nodes_m = ss.random_cauchy_type(m, 2, seed=4)
+    with pytest.raises(ValueError, match=f"factorization is order 8, generators order {m}"):
+        ss.backward_error_cauchy(gen_m, nodes_m, f)
+    with pytest.raises(ValueError, match=f"factorization is order 8, nodes order {m}"):
+        ss.backward_error_cauchy(gen, nodes_m, f)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_growth_report_rejects_another_order(m):
+    gen, nodes = ss.random_cauchy_type(8, 2, seed=3)
+    f = ss.gko_factor(gen, nodes, "partial")
+    gen_m, nodes_m = ss.random_cauchy_type(m, 2, seed=4)
+    with pytest.raises(ValueError, match=f"factorization is order 8, nodes order {m}"):
+        ss.growth_report(f.trace, f, nodes_m)
+    trace_m = ss.gko_factor(gen_m, nodes_m, "partial").trace
+    with pytest.raises(ValueError, match=f"factorization is order 8, trace order {m}"):
+        ss.growth_report(trace_m, f, nodes)
+
+
 def test_backward_error_toeplitz_grows_with_cancellation():
     errs = []
     for k in (3, 4, 5):

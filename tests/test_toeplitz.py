@@ -78,7 +78,7 @@ def test_to_cauchy_materialization_matches_dense_transform():
     coeffs = ss.random_toeplitz(n, seed=2)
     gen_c, nodes = ss.to_cauchy_generators(ss.toeplitz_generators(coeffs))
     T = ss.dense_toeplitz(coeffs)
-    F = ss.DftPlan.create(n).matrix()
+    F = ss.apply_F(ss.DftPlan.create(n), np.eye(n))
     d = ss.scaling_D(n)
     expected = F @ T @ np.diag(np.conj(d)) @ F.conj().T
     got = ss.materialize_cauchy(gen_c, nodes)
@@ -208,7 +208,7 @@ def test_transform_consistency_across_orders(n):
     coeffs = ss.random_toeplitz(n, seed=n)
     gen_c, nodes = ss.to_cauchy_generators(ss.toeplitz_generators(coeffs))
     T = ss.dense_toeplitz(coeffs)
-    F = ss.DftPlan.create(n).matrix()
+    F = ss.apply_F(ss.DftPlan.create(n), np.eye(n))
     expected = F @ T @ np.diag(np.conj(ss.scaling_D(n))) @ F.conj().T
     got = ss.materialize_cauchy(gen_c, nodes)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -241,7 +241,7 @@ def test_unitary_invariance_of_transform_frame():
     rng = np.random.default_rng(8)
     n = 10
     E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    F = ss.DftPlan.create(n).matrix()
+    F = ss.apply_F(ss.DftPlan.create(n), np.eye(n))
     d = ss.scaling_D(n)
     moved = F.conj().T @ E @ F * d[None, :]
     assert abs(np.linalg.norm(moved) - np.linalg.norm(E)) <= 1e-13 * np.linalg.norm(E)
