@@ -10,6 +10,7 @@ in numpy's convention and F* = F^{-1}.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,6 +19,21 @@ import numpy as np
 from .core import CauchyNodes
 
 __all__ = ["DftPlan", "apply_F", "apply_F_inv", "toeplitz_cauchy_nodes", "scaling_D"]
+
+
+def _order(n) -> int:
+    """n as a Python int, refusing orders that are not positive integers.
+
+    Any integer type passes through ``operator.index`` (``np.int64``
+    included); a float such as 2.5 is refused rather than truncated.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"order must be an integer, got {n!r}") from None
+    if n < 1:
+        raise ValueError(f"order must be positive, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -32,13 +48,15 @@ class DftPlan:
 
     @classmethod
     def create(cls, n: int) -> "DftPlan":
-        if n < 1:
-            raise ValueError("transform order must be positive")
-        return cls(n=n)
+        return cls(n=_order(n))
 
 
 def _check_len(plan: DftPlan, v) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
+    if arr.ndim == 0:
+        raise ValueError(
+            f"input needs a leading axis of length {plan.n}, got shape {arr.shape}"
+        )
     if arr.shape[0] != plan.n:
         raise ValueError(f"plan is order {plan.n}, input has length {arr.shape[0]}")
     return arr
@@ -49,14 +67,16 @@ def apply_F(plan: DftPlan, v) -> np.ndarray:
 
     Works columnwise when ``v`` is a matrix.
     """
-    arr = _check_len(plan, v)
-    return np.sqrt(plan.n) * np.fft.ifft(arr, axis=0)
+    out = np.fft.ifft(_check_len(plan, v), axis=0)
+    out *= np.sqrt(plan.n)
+    return out
 
 
 def apply_F_inv(plan: DftPlan, v) -> np.ndarray:
     """F* @ v, the inverse of :func:`apply_F` (F is unitary)."""
-    arr = _check_len(plan, v)
-    return np.fft.fft(arr, axis=0) / np.sqrt(plan.n)
+    out = np.fft.fft(_check_len(plan, v), axis=0)
+    out /= np.sqrt(plan.n)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -70,8 +90,7 @@ def toeplitz_cauchy_nodes(n: int) -> CauchyNodes:
     The nodes of the last eight orders are cached, so one order's O(n^2)
     collision check runs once; the returned ``t`` and ``s`` are read-only.
     """
-    if n < 1:
-        raise ValueError("order must be positive")
+    n = _order(n)
     k = np.arange(n)
     t = np.exp(2j * np.pi * k / n)
     s = np.exp(1j * np.pi * (2 * k + 1) / n)
@@ -82,6 +101,5 @@ def toeplitz_cauchy_nodes(n: int) -> CauchyNodes:
 
 def scaling_D(n: int) -> np.ndarray:
     """Unit-modulus diagonal d_k = exp(pi i k / n), k = 0..n-1."""
-    if n < 1:
-        raise ValueError("order must be positive")
+    n = _order(n)
     return np.exp(1j * np.pi * np.arange(n) / n)

@@ -21,11 +21,12 @@ from .core import (
     EPS,
     CauchyNodes,
     GeneratorPair,
+    SingularMatrixError,
     ToeplitzCoeffs,
     materialize_cauchy,
 )
-from .dft import apply_F, apply_F_inv
-from .oracle import dense_solve, dense_toeplitz
+from .dft import DftPlan, apply_F, apply_F_inv
+from .oracle import dense_toeplitz
 from .toeplitz import ToeplitzFactorization
 
 __all__ = [
@@ -82,7 +83,11 @@ class GrowthReport:
 
 @dataclass
 class BackwardErrorReport:
-    """Factorization and solve errors; fields not applicable are NaN."""
+    """Factorization and solve errors; fields not applicable are NaN.
+
+    ``forward_err`` is ||x - x_ref|| / ||x_ref|| for the solution x_ref that
+    LAPACK's GE/PP (``np.linalg.solve``) computes from the dense matrix.
+    """
 
     abs_err: float = np.nan
     rel_err: float = np.nan
@@ -174,8 +179,7 @@ def backward_error_cauchy(
     """|| P^T L U P'^T - R ||_F against the densely materialized matrix."""
     _check_orders(f.n, generators=gen.n, nodes=nodes.n)
     R = materialize_cauchy(gen, nodes)
-    abs_err = float(np.linalg.norm(f.reconstruct() - R))
-    return BackwardErrorReport(abs_err=abs_err, rel_err=abs_err / float(np.linalg.norm(R)))
+    return _frobenius_error(f.reconstruct(), R)
 
 
 def backward_error_toeplitz(
@@ -187,11 +191,27 @@ def backward_error_toeplitz(
     (F* M) F = (F (F* M)^T)^T.
     """
     _check_orders(f.n, coefficients=c.n)
-    T = dense_toeplitz(c)
-    left = apply_F_inv(f.plan, f.inner.reconstruct())
-    rec = apply_F(f.plan, left.T).T * f.d[None, :]
-    abs_err = float(np.linalg.norm(rec - T))
-    return BackwardErrorReport(abs_err=abs_err, rel_err=abs_err / float(np.linalg.norm(T)))
+    rec = _toeplitz_frame(f.plan, f.d, f.inner.reconstruct())
+    return _frobenius_error(rec, dense_toeplitz(c))
+
+
+def _frobenius_error(approx: np.ndarray, exact: np.ndarray) -> BackwardErrorReport:
+    """Absolute and relative Frobenius distance of ``approx`` from ``exact``."""
+    abs_err = float(np.linalg.norm(approx - exact))
+    return BackwardErrorReport(abs_err=abs_err, rel_err=abs_err / float(np.linalg.norm(exact)))
+
+
+def _toeplitz_frame(plan: DftPlan, d: np.ndarray, rec: np.ndarray) -> np.ndarray:
+    """F* rec F D, for ``rec`` = P^T L U P'^T the Cauchy-level reconstruction.
+
+    Each n^2 intermediate is dropped as soon as the next exists, so at most
+    three are alive at once, ``rec`` included.
+    """
+    left = apply_F_inv(plan, rec)
+    right = apply_F(plan, left.T)
+    del left
+    right *= d[:, None]
+    return right.T
 
 
 def recover_from_displacement(b) -> np.ndarray:
@@ -220,17 +240,30 @@ def recover_from_displacement(b) -> np.ndarray:
 
 
 def _solve_errors(A: np.ndarray, b, x_tilde) -> BackwardErrorReport:
-    """Residual ||A x - b|| / ||b|| and forward error against the dense oracle."""
+    """Residual ||A x - b|| / ||b|| and forward error against LAPACK's GE/PP.
+
+    The reference solution is ``np.linalg.solve(A, b)``.  When LAPACK meets
+    an exactly zero pivot, or its solution is not finite, the system is
+    singular to working precision and ``SingularMatrixError`` is raised.
+    """
     residual = float(np.linalg.norm(A @ x_tilde - b) / np.linalg.norm(b))
-    x_oracle = dense_solve(A, b)
-    forward = float(
-        np.linalg.norm(x_tilde - x_oracle) / np.linalg.norm(x_oracle)
-    )
+    try:
+        x_ref = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"reference solve failed: {exc}") from exc
+    if not np.all(np.isfinite(x_ref)):
+        raise SingularMatrixError("reference solve has non-finite entries")
+    forward = float(np.linalg.norm(x_tilde - x_ref) / np.linalg.norm(x_ref))
     return BackwardErrorReport(residual=residual, forward_err=forward)
 
 
 def solve_quality(c: ToeplitzCoeffs, b, x_tilde) -> BackwardErrorReport:
-    """Residual and oracle-relative forward error of a computed solution."""
+    """Residual and forward error of a computed solution of T x = b.
+
+    The forward error is measured against LAPACK's GE/PP solution of the
+    dense T (``np.linalg.solve``), O(n^3) at BLAS speed; a T singular to
+    working precision raises ``SingularMatrixError``.
+    """
     b = np.asarray(b, dtype=complex)
     x_tilde = np.asarray(x_tilde, dtype=complex)
     T = dense_toeplitz(c)

@@ -65,6 +65,26 @@ def test_length_mismatch_raises():
         ss.apply_F_inv(plan, np.ones(3))
 
 
+def test_plan_order_must_be_an_integer():
+    assert ss.DftPlan.create(np.int64(4)).n == 4
+    assert type(ss.DftPlan.create(np.int64(4)).n) is int
+    for bad in (2.5, 4.0, "4"):
+        with pytest.raises(ValueError, match="integer"):
+            ss.DftPlan.create(bad)
+    with pytest.raises(ValueError, match="positive"):
+        ss.DftPlan.create(0)
+    for order_fn in (ss.scaling_D, ss.toeplitz_cauchy_nodes):
+        with pytest.raises(ValueError, match="integer"):
+            order_fn(2.5)
+
+
+def test_zero_dimensional_input_raises():
+    plan = ss.DftPlan.create(4)
+    for apply in (ss.apply_F, ss.apply_F_inv):
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            apply(plan, 3.0)
+
+
 def test_toeplitz_cauchy_nodes_order_two():
     nodes = ss.toeplitz_cauchy_nodes(2)
     assert_allclose(nodes.t, [1.0, -1.0], atol=1e-15)

@@ -239,13 +239,49 @@ def test_recover_from_displacement_order_one():
 
 
 def test_solve_quality_exact_oracle_solution():
+    # the forward error is measured against LAPACK's GE/PP solution, so that
+    # solution itself reads exactly zero
     coeffs = ss.random_toeplitz(6, seed=12)
     T = ss.dense_toeplitz(coeffs)
     b = np.arange(1.0, 7.0)
-    x = ss.dense_solve(T, b)
+    x = np.linalg.solve(T, b)
     rep = ss.solve_quality(coeffs, b, x)
     assert rep.forward_err == 0.0
     assert rep.residual <= ss.cond_estimate(T) * np.finfo(float).eps * 10
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [ss.random_toeplitz(n, seed=n) for n in (8, 64, 256)]
+    + [ss.adversarial_toeplitz(ss.AdversarialSpec(n=8, delta=d)) for d in (1e-2, 1e-6)],
+    ids=["random-8", "random-64", "random-256", "adversarial-1e-2", "adversarial-1e-6"],
+)
+def test_solve_quality_forward_error_within_reference_gap(coeffs):
+    # forward_err * ||x_l|| is ||x - x_l||, which differs from the textbook
+    # oracle's ||x - x_o|| by at most ||x_l - x_o|| (triangle inequality)
+    n = coeffs.n
+    T = ss.dense_toeplitz(coeffs)
+    b = np.random.default_rng(n).standard_normal(n) + 0j
+    x = ss.toeplitz_solve(ss.toeplitz_factor(coeffs, "partial"), b)
+    x_o = ss.dense_solve(T, b)
+    x_l = np.linalg.solve(T, b)
+    fe = ss.solve_quality(coeffs, b, x).forward_err
+    gap = abs(fe * np.linalg.norm(x_l) - np.linalg.norm(x - x_o))
+    assert gap <= np.linalg.norm(x_l - x_o) * (1 + 1e-12)
+
+
+def test_solve_quality_singular_toeplitz_raises():
+    # all-ones coefficients give the rank-one all-ones T
+    coeffs = ss.ToeplitzCoeffs(a=np.ones(7))
+    with pytest.raises(ss.SingularMatrixError, match="reference solve"):
+        ss.solve_quality(coeffs, np.arange(1.0, 5.0), np.ones(4))
+
+
+def test_solve_quality_non_finite_reference_raises():
+    # subnormal entries: LAPACK factors T but its solution is not finite
+    coeffs = ss.ToeplitzCoeffs(a=np.array([0.25, 1.0, 0.5]) * 1e-310)
+    with pytest.raises(ss.SingularMatrixError, match="non-finite"):
+        ss.solve_quality(coeffs, np.ones(2), np.ones(2))
 
 
 def test_solve_quality_zero_solution():

@@ -176,6 +176,24 @@ def test_cli_singular_exit_code(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_cli_singular_reference_exit_code(tmp_path, capsys):
+    # t_1 = t_2 and phi_1 - phi_2 = (0, 1e-20): the float64 R has two equal
+    # rows, so LAPACK's reference solve is singular, while the generators
+    # keep the 6e-20 Schur complement and the fast path factors
+    doc = {
+        "cauchy": {
+            "t": [1.0, 1.0],
+            "s": [0.0, 0.5],
+            "phi": [[1.0, 1e-20], [1.0, 0.0]],
+            "psi": [[1.0, 1.0], [1.0, -1.0]],
+        },
+        "b": [1.0, 1.0],
+    }
+    path = _write_json(tmp_path / "singular_reference.json", doc)
+    assert cli.main(["solve", path]) == 3
+    assert "reference solve" in capsys.readouterr().err
+
+
 def test_cli_node_collision_exit_code(tmp_path, capsys):
     doc = {
         "cauchy": {
@@ -243,6 +261,22 @@ def test_cli_factor_output(tmp_path):
     assert doc["reconstruction"]["rel_err"] <= 1e-12
     assert len(doc["L"]) == 4
     assert sorted(doc["row_perm"]) == [0, 1, 2, 3]
+
+
+def test_cli_factor_backward_errors_match_library(tmp_path):
+    # CLI factor reconstructs L U once for both errors; the numbers are the
+    # library's, bit for bit
+    coeffs = ss.random_toeplitz(12, seed=21)
+    doc = {"toeplitz": {"n": 12, "a": [[v.real, v.imag] for v in coeffs.a]}}
+    path = _write_json(tmp_path / "toe.json", doc)
+    out_path = tmp_path / "factor.json"
+    assert cli.main(["factor", path, "--out", str(out_path)]) == 0
+    out = json.loads(out_path.read_text())
+    f = ss.toeplitz_factor(coeffs, "partial")
+    gen_c, nodes = ss.to_cauchy_generators(ss.toeplitz_generators(coeffs))
+    cauchy = ss.backward_error_cauchy(gen_c, nodes, f.inner)
+    assert out["reconstruction"] == cli._encode(cauchy.to_dict())
+    assert out["toeplitz_backward"] == cli._encode(ss.backward_error_toeplitz(coeffs, f).to_dict())
 
 
 def test_cli_sweep_csv_and_exit(tmp_path):
