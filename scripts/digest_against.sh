@@ -6,9 +6,12 @@
 # Checks REV out into a temporary git worktree, copies this checkout's
 # scripts/factor_digest.py into it (so both sides digest the same corpus),
 # runs the script there and here, and diffs the two outputs.  The working
-# tree is digested as it stands, uncommitted edits included.  Exits 0 when
-# the outputs are identical, 1 when they differ (the diff is printed) and
-# 2 on a usage or setup error.  The worktree is removed on exit.
+# tree is digested as it stands, uncommitted edits included.  When they
+# differ, the diff is followed by one line per digest column (pivot,
+# non-hat, full) counting the lines on which that column differs, so a
+# change that should move only the hat ratio shows the first two at 0.
+# Exits 0 when the outputs are identical, 1 when they differ and 2 on a
+# usage or setup error.  The worktree is removed on exit.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -36,5 +39,25 @@ python3 "$here/scripts/factor_digest.py" > "$tmp/after.txt" || exit 2
 if diff "$tmp/before.txt" "$tmp/after.txt"; then
     echo "identical: $(wc -l < "$tmp/after.txt") lines at ${rev:0:12} and in $here"
 else
+    # a line ends in three 64-digit digests, or in an error message that
+    # stands for all three
+    python3 - "$tmp/before.txt" "$tmp/after.txt" <<'EOF'
+import re
+import sys
+
+def columns(line):
+    words = line.split()
+    if len(words) >= 3 and all(re.fullmatch("[0-9a-f]{64}", w) for w in words[-3:]):
+        return words[-3:]
+    return [line] * 3
+
+before, after = (open(path).read().splitlines() for path in sys.argv[1:3])
+if len(before) != len(after):
+    sys.exit(f"{len(before)} lines before, {len(after)} after: columns not compared")
+pairs = [(columns(a), columns(b)) for a, b in zip(before, after)]
+for i, name in enumerate(("pivot", "non-hat", "full")):
+    moved = sum(a[i] != b[i] for a, b in pairs)
+    print(f"{name} digest differs on {moved} of {len(pairs)} lines")
+EOF
     exit 1
 fi

@@ -8,12 +8,17 @@ this script:
 Running it in two checkouts and diffing the output shows whether a change
 kept the factorizations bit-identical; ``scripts/digest_against.sh REV``
 does that against a git revision.  Each line is ``<label> <strategy>
-<pivot digest> <full digest>``.  The pivot digest covers ``pivot_index``,
-``pivot_is_col``, ``row_perm`` and ``col_perm``, so a change that keeps
-every pivot differs only in the second digest.  The full digest covers L,
-U, ``row_perm``, ``col_perm``, every ``GrowthTrace`` field, every
-``growth_report`` field and ``v_matrix`` of the factored generators.  The corpus is 149 instances under each of the strategies
-none, partial and row1col1 (447 factorizations):
+<pivot digest> <non-hat digest> <full digest>``.  The pivot digest covers
+``pivot_index``, ``pivot_is_col``, ``row_perm`` and ``col_perm``, so a
+change that keeps every pivot differs only in the other two.  The full
+digest covers L, U, ``row_perm``, ``col_perm``, every ``GrowthTrace``
+field, every ``growth_report`` field and ``v_matrix`` of the factored
+generators.  The non-hat digest covers the same except ``hat_ratio`` and
+the four report fields computed from it (g2, g3, ``bound_cauchy`` and
+``bound_toeplitz``), so a change that only rounds the hatted norm ratio
+differently differs only in the full digest, and only on lines that
+computed hat ratios.  The corpus is 149 instances under each of the
+strategies none, partial and row1col1 (447 factorizations):
 
 - the 100 random Cauchy-type instances of acceptance criterion 1;
 - the 25 random instances of the row-1/column-1 dense replay test;
@@ -28,7 +33,7 @@ norm ratio above n = 256.  Three lines follow for ``random_toeplitz(300,
 seed=300)`` with ``hat_ratios=True``, one per strategy.  Then follow 24
 lines for 8 inputs that are singular or have an exactly zero (1, 1) entry,
 under each strategy.  A factorization that raises ``SingularMatrixError``
-prints the error message instead of the two digests.
+prints the error message instead of the three digests.
 
 The digests depend on the BLAS in use, so compare two checkouts only on
 the same machine and numpy.
@@ -100,6 +105,11 @@ def _update(h, value) -> None:
     h.update(np.ascontiguousarray(value).tobytes())
 
 
+# the trace field and report fields left out of the non-hat digest
+HAT_TRACE_FIELD = "hat_ratio"
+HAT_REPORT_FIELDS = ("g2", "g3", "bound_cauchy", "bound_toeplitz")
+
+
 def digest(gen, nodes, strategy, hat_ratios) -> str:
     try:
         f = ss.gko_factor(gen, nodes, strategy, hat_ratios)
@@ -108,15 +118,23 @@ def digest(gen, nodes, strategy, hat_ratios) -> str:
     pivots = hashlib.sha256()
     for value in (f.trace.pivot_index, f.trace.pivot_is_col, f.row_perm, f.col_perm):
         _update(pivots, value)
-    h = hashlib.sha256()
+    # every value goes into the full digest, and all but the hat-ratio ones
+    # into the non-hat digest as well, in the same order
+    full, non_hat = hashlib.sha256(), hashlib.sha256()
+
+    def add(value, from_hat_ratio=False) -> None:
+        _update(full, value)
+        if not from_hat_ratio:
+            _update(non_hat, value)
+
     for value in (f.L, f.U, f.row_perm, f.col_perm):
-        _update(h, value)
+        add(value)
     for fld in fields(f.trace):
-        _update(h, getattr(f.trace, fld.name))
-    for value in ss.growth_report(f.trace, f, nodes).to_dict().values():
-        _update(h, np.float64(value))
-    _update(h, ss.v_matrix(gen))
-    return f"{pivots.hexdigest()} {h.hexdigest()}"
+        add(getattr(f.trace, fld.name), fld.name == HAT_TRACE_FIELD)
+    for name, value in ss.growth_report(f.trace, f, nodes).to_dict().items():
+        add(np.float64(value), name in HAT_REPORT_FIELDS)
+    add(ss.v_matrix(gen))
+    return f"{pivots.hexdigest()} {non_hat.hexdigest()} {full.hexdigest()}"
 
 
 def main() -> int:

@@ -133,40 +133,139 @@ static void swap_lines(cplx *a, ptrdiff_t k, ptrdiff_t p, ptrdiff_t lead, ptrdif
         swap_c(a + k * lead + i * step, a + p * lead + i * step);
 }
 
-/* ||V(k) o R_k||_F / ||R_k||_F at the step-k generators, NaN when R_k = 0 */
-static double hat_ratio_step(ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k, const cplx *phi,
-                             const cplx *psi, const double *inv_gap, double *psi_abs,
-                             double *phi_abs)
+/* The hat ratio's sums of squares over a row are split into HAT_LANES
+ * interleaved partial sums: column j of the step goes to sum j mod
+ * HAT_LANES.  The partial sums are added in lane order and the rows in row
+ * order, so the result is fixed by the source; with no reassociation and
+ * no fused multiply-add every vector width gives the same bits. */
+#define HAT_LANES 8
+
+#if defined(__GNUC__) || defined(__clang__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+/* A loop over the lanes stays a loop until the vectoriser runs across it;
+ * unrolled earlier, its body would be vectorised across chunks instead,
+ * with in-order reductions that make the row three to five times slower. */
+#define LANE_LOOP _Pragma("GCC unroll 1")
+#else
+#define ALWAYS_INLINE inline
+#define LANE_LOOP
+#endif
+
+/* target_clones dispatches through an ifunc, which needs the GNU dynamic
+ * loader; elsewhere hat_ratio_step is compiled once, for the base ISA, as
+ * it is everywhere when HAT_CLONES is defined empty (-DHAT_CLONES=) */
+#ifndef HAT_CLONES
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define HAT_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#endif
+#ifndef HAT_CLONES
+#define HAT_CLONES
+#endif
+
+/* cnt <= HAT_LANES consecutive columns of one row of the hat ratio: adds
+ * (|phi_i||psi_j| g_ij)^2 to num_lane[l] and |phi_i psi_j g_ij|^2 to
+ * den_lane[l] for column l.  re, im and mag hold psi's components by
+ * generator, ld apart, starting at the first of the columns.  The sums over
+ * the generators run in generator order, as in dot and abs_dot. */
+static ALWAYS_INLINE void hat_chunk(ptrdiff_t alpha, ptrdiff_t cnt, ptrdiff_t ld,
+                                    const cplx *phi_i, const double *phi_abs, const double *g,
+                                    const double *re, const double *im, const double *mag,
+                                    double *num_lane, double *den_lane)
 {
-    for (ptrdiff_t j = k * alpha; j < n * alpha; j++)
-        psi_abs[j] = cmag(psi[j]);
-    double num_sq = 0.0, den_sq = 0.0;
-    for (ptrdiff_t i = k; i < n; i++) {
-        const cplx *phi_i = phi + i * alpha;
-        const double *g = inv_gap + i * n;
-        for (ptrdiff_t m = 0; m < alpha; m++)
-            phi_abs[m] = cmag(phi_i[m]);
-        for (ptrdiff_t j = k; j < n; j++) {
-            const cplx *psi_j = psi + j * alpha;
-            const double *psi_j_abs = psi_abs + j * alpha;
-            double num = phi_abs[0] * psi_j_abs[0];
-            cplx den = cmul(phi_i[0], psi_j[0]);
-            for (ptrdiff_t m = 1; m < alpha; m++) {
-                cplx p = cmul(phi_i[m], psi_j[m]);
-                num += phi_abs[m] * psi_j_abs[m];
-                den.re += p.re;
-                den.im += p.im;
-            }
-            num *= g[j];
-            den.re *= g[j];
-            den.im *= g[j];
-            num_sq += num * num;
-            den_sq += den.re * den.re + den.im * den.im;
+    double num[HAT_LANES], den_re[HAT_LANES], den_im[HAT_LANES];
+    LANE_LOOP
+    for (ptrdiff_t l = 0; l < cnt; l++) {
+        num[l] = phi_abs[0] * mag[l];
+        den_re[l] = phi_i[0].re * re[l] - phi_i[0].im * im[l];
+        den_im[l] = phi_i[0].re * im[l] + phi_i[0].im * re[l];
+    }
+    for (ptrdiff_t m = 1; m < alpha; m++) {
+        LANE_LOOP
+        for (ptrdiff_t l = 0; l < cnt; l++) {
+            ptrdiff_t x = m * ld + l;
+            num[l] += phi_abs[m] * mag[x];
+            den_re[l] += phi_i[m].re * re[x] - phi_i[m].im * im[x];
+            den_im[l] += phi_i[m].re * im[x] + phi_i[m].im * re[x];
         }
     }
-    if (den_sq == 0.0)
+    LANE_LOOP
+    for (ptrdiff_t l = 0; l < cnt; l++) {
+        double a = num[l] * g[l], b = den_re[l] * g[l], c = den_im[l] * g[l];
+        num_lane[l] += a * a;
+        den_lane[l] += b * b + c * c;
+    }
+}
+
+/* Rows k..n-1 of the hat ratio's sums of squares into sums[0] (hatted) and
+ * sums[1] (plain), for the len = n - k columns of cols (see
+ * hat_ratio_step).  Inlined with alpha constant where it is small, so that
+ * the loop over the generators unrolls. */
+static ALWAYS_INLINE void hat_rows(ptrdiff_t alpha, ptrdiff_t n, ptrdiff_t k, const cplx *phi,
+                                   const double *inv_gap, const double *cols, double *phi_abs,
+                                   double *sums)
+{
+    ptrdiff_t len = n - k, full = len - len % HAT_LANES;
+    const double *re = cols, *im = cols + alpha * len, *mag = im + alpha * len;
+    for (ptrdiff_t i = k; i < n; i++) {
+        const cplx *phi_i = phi + i * alpha;
+        const double *g = inv_gap + i * n + k;
+        double num_lane[HAT_LANES] = {0.0}, den_lane[HAT_LANES] = {0.0};
+        for (ptrdiff_t m = 0; m < alpha; m++)
+            phi_abs[m] = cmag(phi_i[m]);
+        for (ptrdiff_t j = 0; j < full; j += HAT_LANES)
+            hat_chunk(alpha, HAT_LANES, len, phi_i, phi_abs, g + j, re + j, im + j, mag + j,
+                      num_lane, den_lane);
+        hat_chunk(alpha, len - full, len, phi_i, phi_abs, g + full, re + full, im + full,
+                  mag + full, num_lane, den_lane);
+        double num_sq = num_lane[0], den_sq = den_lane[0];
+        for (int l = 1; l < HAT_LANES; l++) {
+            num_sq += num_lane[l];
+            den_sq += den_lane[l];
+        }
+        sums[0] += num_sq;
+        sums[1] += den_sq;
+    }
+}
+
+/* ||V(k) o R_k||_F / ||R_k||_F at the step-k generators, NaN when R_k = 0.
+ * cols is 3 alpha n doubles of work space: psi's lines k..n-1 are copied
+ * there column by column, split into real parts, imaginary parts and
+ * magnitudes, so that consecutive columns are consecutive doubles. */
+static HAT_CLONES double hat_ratio_step(ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k,
+                                        const cplx *phi, const cplx *psi,
+                                        const double *inv_gap, double *cols, double *phi_abs)
+{
+    ptrdiff_t len = n - k;
+    for (ptrdiff_t j = 0; j < len; j++)
+        for (ptrdiff_t m = 0; m < alpha; m++) {
+            cplx z = psi[(k + j) * alpha + m];
+            cols[m * len + j] = z.re;
+            cols[(alpha + m) * len + j] = z.im;
+            cols[(2 * alpha + m) * len + j] = cmag(z);
+        }
+    double sums[2] = {0.0, 0.0};
+    switch (alpha) {
+    case 1:
+        hat_rows(1, n, k, phi, inv_gap, cols, phi_abs, sums);
+        break;
+    case 2:
+        hat_rows(2, n, k, phi, inv_gap, cols, phi_abs, sums);
+        break;
+    case 3:
+        hat_rows(3, n, k, phi, inv_gap, cols, phi_abs, sums);
+        break;
+    case 4:
+        hat_rows(4, n, k, phi, inv_gap, cols, phi_abs, sums);
+        break;
+    default:
+        hat_rows(alpha, n, k, phi, inv_gap, cols, phi_abs, sums);
+    }
+    if (sums[1] == 0.0)
         return NAN;
-    return sqrt(num_sq) / sqrt(den_sq);
+    return sqrt(sums[0]) / sqrt(sums[1]);
 }
 
 /* One side of the matrix, the rows or the columns (see the top of the file).
@@ -297,10 +396,11 @@ static void update(side *a, const side *b, ptrdiff_t n, ptrdiff_t alpha, ptrdiff
  * updates them.  L must hold the identity and U zeros on entry; both are n x
  * n.  Per step k the trace arrays receive the pivot, its magnitude, the V
  * statistics and the hatted L column / U row norms; hat_ratio[k] is written
- * only when hat is nonzero, in which case inv_gap is n x n work space.
- * panel holds n x panel_width complex values: column k of L is gathered
- * there, row by row, and copied into L every panel_width steps.  work_c
- * holds 3n complex values, work_r 2n + (n + 2) alpha doubles.
+ * only when hat is nonzero, in which case inv_gap is work space of
+ * n^2 + 3 alpha n doubles: the reciprocal gaps, then hat_ratio_step's
+ * columns.  panel holds n x panel_width complex values: column k of L is
+ * gathered there, row by row, and copied into L every panel_width steps.
+ * work_c holds 3n complex values, work_r 2n + 2 alpha doubles.
  * sums receives ||L||_F^2 - n and ||U||_F^2 and, when a step fails, the
  * largest candidate magnitude of that step.
  *
@@ -316,9 +416,8 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
                         double *hat_l, double *hat_u, double *inv_gap, cplx *panel,
                         cplx *work_c, double *work_r, double *sums)
 {
-    double *psi_abs = work_r + 2 * n;
     side rows = {.node = t, .gen = phi, .line = work_c, .num = work_c + n, .mag = work_r,
-                 .gen_abs = psi_abs + n * alpha, .idx = pidx, .rows = 1, .fac = L,
+                 .gen_abs = work_r + 2 * n, .idx = pidx, .rows = 1, .fac = L,
                  .panel = panel, .lead = n, .step = 1, .panel_lead = panel_width,
                  .v_max = v_col_max, .hat = hat_l};
     side cols = {.node = s, .gen = psi, .num = work_c + 2 * n, .mag = work_r + n,
@@ -338,7 +437,8 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
         cols.fac_len = k;
         cols.line = U + k * n;
         if (hat)
-            hat_ratio[k] = hat_ratio_step(n, alpha, k, phi, psi, inv_gap, psi_abs, rows.gen_abs);
+            hat_ratio[k] = hat_ratio_step(n, alpha, k, phi, psi, inv_gap, inv_gap + n * n,
+                                          rows.gen_abs);
 
         recover(&rows, &cols, n, alpha, k, k);
         ptrdiff_t q = largest(&rows, n, k, k);

@@ -157,7 +157,11 @@ def _v_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 _KERNEL_SOURCE = Path(__file__).with_name("_gko_kernel.c")
 # no -ffast-math, -march=native or -fcx-limited-range: each changes rounding
-# or overflow, and a library cached for one machine must run on its twin
+# or overflow, and a library cached for one machine must run on its twin.
+# The AVX2 copy of the hat ratio (target_clones in the source) is safe where
+# -march=native is not: the dynamic loader picks it only on a CPU with AVX2,
+# the base-ISA copy runs everywhere else, and both sum in the order the
+# source fixes, without FMA, so they give the same bits
 _KERNEL_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 # the kernel holds this many columns of L in an n-row panel and copies them
 # into L row by row when the panel is full: written straight into L, each
@@ -173,7 +177,7 @@ _STRATEGY_CODES = {
 
 # dtypes of the kernel's array arguments, in order: phi, psi^T, t, s, L, U;
 # pidx, cidx, pivot_index, pivot_is_col; pivot_magnitude, v_col_max,
-# v_row_max, v_kk; hat_ratio, hat_l_col, hat_u_row, the reciprocal gaps; the
+# v_row_max, v_kk; hat_ratio, hat_l_col, hat_u_row, the hat ratio's work; the
 # L panel, complex and real work space, and the norm sums
 _KERNEL_ARRAYS = (
     (complex,) * 6
@@ -192,7 +196,8 @@ def _address(array: np.ndarray, dtype) -> int:
     return array.ctypes.data
 
 
-def _load_kernel(cache_dir=_KERNEL_SOURCE.parent / "__pycache__", compiler="cc"):
+def _load_kernel(cache_dir=_KERNEL_SOURCE.parent / "__pycache__", compiler="cc",
+                 flags=_KERNEL_FLAGS):
     """Compile ``_gko_kernel.c`` once per source version and load it.
 
     Returns its two entry points, ``gko_eliminate`` and ``tri_block_solve``.
@@ -205,7 +210,7 @@ def _load_kernel(cache_dir=_KERNEL_SOURCE.parent / "__pycache__", compiler="cc")
     cache_dir = Path(cache_dir)
     source = _KERNEL_SOURCE.read_bytes()
     key = hashlib.sha256(
-        source + " ".join(_KERNEL_FLAGS).encode() + platform.machine().encode()
+        source + " ".join(flags).encode() + platform.machine().encode()
     ).hexdigest()
     lib = cache_dir / f"_gko_kernel-{key}.so"
     if not lib.exists():
@@ -215,7 +220,7 @@ def _load_kernel(cache_dir=_KERNEL_SOURCE.parent / "__pycache__", compiler="cc")
         try:
             try:
                 built = subprocess.run(
-                    [compiler, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                    [compiler, *flags, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
                     capture_output=True,
                     text=True,
                 )
@@ -270,21 +275,28 @@ def gko_factor(
         row-versus-column tie prefers the row interchange.
     hat_ratios :
         Whether to record the O(n^2)-per-step hatted norm ratio in the
-        trace; "auto" enables it for n <= 256.  When on, the factorization
-        holds the reciprocal node gaps 1/|t_i - s_j|, 8 n^2 bytes (0.5 MB at
-        n = 256, 8.4 MB at n = 1024).
+        trace; "auto" enables it for n <= 256, and any other string raises
+        ``ValueError``.  When on, the factorization holds the reciprocal node
+        gaps 1/|t_i - s_j| and a split copy of psi's columns, 8 n^2 + 24
+        alpha n bytes (0.5 MB at n = 256, 8.4 MB at n = 1024).
 
     Raises
     ------
     SingularMatrixError
         When the selected pivot magnitude is at most n*eps times the largest
         candidate examined at that step.
+    ValueError
+        When the generators and nodes differ in order, or ``hat_ratios`` is a
+        string other than "auto".
     """
     strategy = PivotStrategy.coerce(strategy)
     n, alpha = gen.n, gen.alpha
     if nodes.n != n:
         raise ValueError(f"generators are order {n}, nodes are order {nodes.n}")
-    if hat_ratios == "auto":
+    if isinstance(hat_ratios, str):
+        # any other string would read as true and switch the O(n^3) ratio on
+        if hat_ratios != "auto":
+            raise ValueError(f"hat_ratios must be a bool or 'auto', got {hat_ratios!r}")
         hat_ratios = n <= HAT_RATIO_AUTO_LIMIT
 
     # the kernel updates copies; psi is held transposed so that each of its
@@ -311,16 +323,17 @@ def gko_factor(
         hat_u_row=np.zeros(n),
         hat_ratios_computed=bool(hat_ratios),
     )
-    inv_gaps = np.empty((n, n) if hat_ratios else 0)
+    # the reciprocal node gaps, then the hat ratio's copy of psi's columns
+    hat_work = np.empty(n * n + 3 * alpha * n if hat_ratios else 0)
     panel = np.empty(n * _L_PANEL, dtype=complex)
     work_c = np.empty(3 * n, dtype=complex)
-    work_r = np.empty(2 * n + (n + 2) * alpha)
+    work_r = np.empty(2 * n + 2 * alpha)
     sums = np.zeros(3)
     arrays = (
         phi, psi_t, t, s, L, U,
         pidx, cidx, trace.pivot_index, trace.pivot_is_col,
         trace.pivot_magnitude, trace.v_col_max, trace.v_row_max, trace.v_kk,
-        trace.hat_ratio, trace.hat_l_col, trace.hat_u_row, inv_gaps,
+        trace.hat_ratio, trace.hat_l_col, trace.hat_u_row, hat_work,
         panel, work_c, work_r, sums,
     )
     failed = _kernel(

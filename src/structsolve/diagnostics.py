@@ -239,21 +239,30 @@ def recover_from_displacement(b) -> np.ndarray:
     return 0.5 * (totals[m] - 2.0 * before[m, j])
 
 
+def _relative(err, ref) -> float:
+    """err / ref for norms; against a zero ref, 0 for no error and inf otherwise."""
+    err, ref = float(err), float(ref)
+    if ref == 0.0:
+        return 0.0 if err == 0.0 else np.inf
+    return err / ref
+
+
 def _solve_errors(A: np.ndarray, b, x_tilde) -> BackwardErrorReport:
     """Residual ||A x - b|| / ||b|| and forward error against LAPACK's GE/PP.
 
     The reference solution is ``np.linalg.solve(A, b)``.  When LAPACK meets
     an exactly zero pivot, or its solution is not finite, the system is
     singular to working precision and ``SingularMatrixError`` is raised.
+    For b = 0 both errors are 0 when x is exactly zero and inf otherwise.
     """
-    residual = float(np.linalg.norm(A @ x_tilde - b) / np.linalg.norm(b))
+    residual = _relative(np.linalg.norm(A @ x_tilde - b), np.linalg.norm(b))
     try:
         x_ref = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"reference solve failed: {exc}") from exc
     if not np.all(np.isfinite(x_ref)):
         raise SingularMatrixError("reference solve has non-finite entries")
-    forward = float(np.linalg.norm(x_tilde - x_ref) / np.linalg.norm(x_ref))
+    forward = _relative(np.linalg.norm(x_tilde - x_ref), np.linalg.norm(x_ref))
     return BackwardErrorReport(residual=residual, forward_err=forward)
 
 

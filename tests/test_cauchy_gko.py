@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import subprocess
 
 import numpy as np
 import pytest
@@ -521,6 +522,19 @@ def test_hat_ratio_auto_skips_large_orders():
     assert f2.trace.hat_ratios_computed
 
 
+@pytest.mark.parametrize("value", ["false", "off", "AUTO", ""])
+def test_hat_ratios_rejects_strings_other_than_auto(value):
+    gen, nodes = ss.random_cauchy_type(8, 1, seed=0)
+    with pytest.raises(ValueError, match="hat_ratios"):
+        ss.gko_factor(gen, nodes, "partial", hat_ratios=value)
+    with pytest.raises(ValueError, match="hat_ratios"):
+        ss.toeplitz_factor(ss.random_toeplitz(8, seed=8), "partial", hat_ratios=value)
+    # booleans and numpy booleans keep their meaning
+    for on in (True, False, np.True_, np.False_):
+        f = ss.gko_factor(gen, nodes, "partial", hat_ratios=on)
+        assert f.trace.hat_ratios_computed == bool(on)
+
+
 def _step_generators(gen, nodes, f):
     """Each step's generators and nodes, rebuilt from L, U and the permutations.
 
@@ -561,6 +575,84 @@ def test_hat_ratio_matches_dense_schur_complement_oracle(strategy):
         col_interchanges += int(f.trace.pivot_is_col.sum())
     # the gap tables follow column interchanges as well as row interchanges
     assert (col_interchanges > 0) == (strategy == "row1col1")
+
+
+# partial sums per row of the compiled hat ratio
+HAT_LANES = 8
+
+
+def _lane_hat_ratio(gen, nodes):
+    """The step-0 hat ratio summed in the compiled kernel's order.
+
+    Each term is formed as the kernel forms it, from real arrays with
+    magnitudes sqrt(re^2 + im^2) and sums over the generators in generator
+    order.  Column j of a row goes to partial sum j mod HAT_LANES, the
+    partial sums of a row are added in lane order and the rows in row order.
+    """
+
+    def mag(z):
+        return np.sqrt(z.real * z.real + z.imag * z.imag)
+
+    phi, psi = gen.phi, gen.psi
+    gap = nodes.t[:, None] - nodes.s[None, :]
+    inv_gap = 1.0 / mag(gap)
+    num = mag(phi[:, :1]) * mag(psi[:1])
+    den_re = phi[:, :1].real * psi[:1].real - phi[:, :1].imag * psi[:1].imag
+    den_im = phi[:, :1].real * psi[:1].imag + phi[:, :1].imag * psi[:1].real
+    for m in range(1, gen.alpha):
+        p, q = phi[:, m : m + 1], psi[m : m + 1]
+        num = num + mag(p) * mag(q)
+        den_re = den_re + (p.real * q.real - p.imag * q.imag)
+        den_im = den_im + (p.real * q.imag + p.imag * q.real)
+    a, b, c = num * inv_gap, den_re * inv_gap, den_im * inv_gap
+    sums = []
+    for terms in (a * a, b * b + c * c):
+        lanes = np.zeros((gen.n, HAT_LANES))
+        for lo in range(0, gen.n, HAT_LANES):
+            width = min(HAT_LANES, gen.n - lo)
+            lanes[:, :width] += terms[:, lo : lo + width]
+        total = 0.0
+        for row in lanes:
+            row_sum = row[0]
+            for lane in row[1:]:
+                row_sum += lane
+            total += row_sum
+        sums.append(total)
+    return np.sqrt(sums[0]) / np.sqrt(sums[1])
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 40])
+def test_step_zero_hat_ratio_matches_lane_ordered_reference_bit_for_bit(n, alpha):
+    # alpha 1..4 run the kernel's constant-alpha copies of the row loop and
+    # alpha 5 the generic one; n 1, 7, 8, 9 and 40 leave 1, 7, 0, 1 and 0
+    # columns past the last full group of lanes
+    rng = np.random.default_rng(100 * n + alpha)
+    shape = (n, alpha)
+    phi = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+    psi = rng.uniform(-1.0, 1.0, shape[::-1]) + 1j * rng.uniform(-1.0, 1.0, shape[::-1])
+    gen = ss.GeneratorPair(phi=phi, psi=psi)
+    nodes = ss.random_cauchy_type(n, 1, seed=n)[1]
+    f = ss.gko_factor(gen, nodes, "partial", hat_ratios=True)
+    assert f.trace.hat_ratio[0].tobytes() == np.float64(_lane_hat_ratio(gen, nodes)).tobytes()
+
+
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+def test_hat_ratios_change_nothing_but_the_hat_ratio(strategy, alpha):
+    # the hat ratio's work space follows the gap table in one allocation;
+    # writing past either would show in the factors or the trace
+    gen, nodes = ss.random_cauchy_type(37, alpha, seed=alpha)
+    on = ss.gko_factor(gen, nodes, strategy, hat_ratios=True)
+    off = ss.gko_factor(gen, nodes, strategy, hat_ratios=False)
+    for name in ("L", "U", "norm_L", "norm_U"):
+        assert np.asarray(getattr(on, name)).tobytes() == np.asarray(getattr(off, name)).tobytes()
+    assert np.array_equal(on.row_perm.idx, off.row_perm.idx)
+    assert np.array_equal(on.col_perm.idx, off.col_perm.idx)
+    for fld in dataclasses.fields(on.trace):
+        if fld.name not in ("hat_ratio", "hat_ratios_computed"):
+            assert getattr(on.trace, fld.name).tobytes() == getattr(off.trace, fld.name).tobytes()
+    assert np.all(np.isfinite(on.trace.hat_ratio)) and np.all(np.isnan(off.trace.hat_ratio))
 
 
 def _step_statistics_from_factors(gen, nodes, f):
@@ -647,6 +739,35 @@ def test_kernel_loader_builds_into_an_empty_cache(tmp_path, monkeypatch):
     assert np.array_equal(got.row_perm.idx, expected.row_perm.idx)
     assert np.array_equal(got.col_perm.idx, expected.col_perm.idx)
     assert ss.solve_with_factors(got, b).tobytes() == x_expected.tobytes()
+
+
+def test_kernel_built_for_the_base_isa_gives_the_same_hat_ratios(tmp_path, monkeypatch):
+    # -DHAT_CLONES= compiles hat_ratio_step once, for the base instruction
+    # set; where the default build dispatches to an AVX2 copy, this runs the
+    # other copy's code on the same inputs
+    eliminate, _ = cauchy_gko._load_kernel(
+        cache_dir=tmp_path, flags=cauchy_gko._KERNEL_FLAGS + ("-DHAT_CLONES=",)
+    )
+    adversarial = ss.to_cauchy_generators(
+        ss.toeplitz_generators(ss.adversarial_toeplitz(ss.AdversarialSpec(n=64, delta=1e-6)))
+    )
+    inputs = [adversarial, ss.cancellation_cauchy(61, 1e-6, 3)]
+    inputs += [ss.random_cauchy_type(45, alpha, seed=alpha) for alpha in (1, 3, 4)]
+    expected = [ss.gko_factor(gen, nodes, "row1col1", hat_ratios=True) for gen, nodes in inputs]
+    monkeypatch.setattr(cauchy_gko, "_kernel", eliminate)
+    for (gen, nodes), f in zip(inputs, expected):
+        got = ss.gko_factor(gen, nodes, "row1col1", hat_ratios=True)
+        assert got.trace.hat_ratio.tobytes() == f.trace.hat_ratio.tobytes()
+        assert got.L.tobytes() == f.L.tobytes() and got.U.tobytes() == f.U.tobytes()
+
+
+def test_kernel_source_is_warning_free_pedantic_c99():
+    # the compiler the loader builds the kernel with
+    flags = ["-fsyntax-only", "-Wall", "-Wextra", "-pedantic", "-std=c99", "-Werror"]
+    checked = subprocess.run(
+        ["cc", *flags, str(cauchy_gko._KERNEL_SOURCE)], capture_output=True, text=True
+    )
+    assert checked.returncode == 0, checked.stderr
 
 
 @pytest.mark.parametrize("compiler", ["no-such-cc", "false"], ids=["missing", "failing"])

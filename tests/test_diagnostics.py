@@ -300,3 +300,16 @@ def test_solve_quality_modified_pivoting_residuals_flat():
         x = ss.toeplitz_solve(ss.toeplitz_factor(coeffs, "row1col1"), b)
         rep = ss.solve_quality(coeffs, b, x)
         assert rep.residual <= 1e-13, f"k={k}: {rep.residual:.3e}"
+
+
+def test_solve_quality_zero_rhs_exact_zero_answer_reads_zero():
+    coeffs = ss.random_toeplitz(4, seed=1)
+    rep = ss.solve_quality(coeffs, np.zeros(4), np.zeros(4))
+    assert rep.residual == 0.0 and rep.forward_err == 0.0
+
+
+def test_solve_quality_zero_rhs_nonzero_answer_reads_infinite():
+    # against b = 0 and x_ref = 0 no relative error is finite
+    coeffs = ss.random_toeplitz(4, seed=1)
+    rep = ss.solve_quality(coeffs, np.zeros(4), np.full(4, 1e-3))
+    assert rep.residual == np.inf and rep.forward_err == np.inf

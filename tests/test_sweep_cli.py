@@ -106,6 +106,17 @@ def test_cli_solve_matches_dense_oracle(tmp_path, capsys):
     assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
 
 
+@pytest.mark.parametrize("strategy", ["partial", "row1col1"])
+def test_cli_solve_zero_rhs_reports_zero_errors(tmp_path, capsys, strategy):
+    doc = {"toeplitz": {"n": 2, "a": [0.5, 2, 0.25]}, "b": [0, 0]}
+    path = _write_json(tmp_path / "zero.json", doc)
+    assert cli.main(["solve", path, "--strategy", strategy]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["x"] == [[0.0, 0.0], [0.0, 0.0]]
+    assert out["report"]["residual"] == 0.0
+    assert out["report"]["forward_err"] == 0.0
+
+
 def test_cli_solve_malformed_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
