@@ -142,12 +142,15 @@ static void swap_lines(cplx *a, ptrdiff_t k, ptrdiff_t p, ptrdiff_t lead, ptrdif
 
 #if defined(__GNUC__) || defined(__clang__)
 #define ALWAYS_INLINE inline __attribute__((always_inline))
-/* A loop over the lanes stays a loop until the vectoriser runs across it;
- * unrolled earlier, its body would be vectorised across chunks instead,
- * with in-order reductions that make the row three to five times slower. */
-#define LANE_LOOP _Pragma("GCC unroll 1")
 #else
 #define ALWAYS_INLINE inline
+#endif
+/* A loop over the lanes stays a loop until GCC's vectoriser runs across it;
+ * unrolled earlier, its body would be vectorised across chunks instead,
+ * with in-order reductions that make the row three to five times slower. */
+#if defined(__GNUC__) && !defined(__clang__)
+#define LANE_LOOP _Pragma("GCC unroll 1")
+#else
 #define LANE_LOOP
 #endif
 
@@ -201,8 +204,12 @@ static ALWAYS_INLINE void hat_chunk(ptrdiff_t alpha, ptrdiff_t cnt, ptrdiff_t ld
 
 /* Rows k..n-1 of the hat ratio's sums of squares into sums[0] (hatted) and
  * sums[1] (plain), for the len = n - k columns of cols (see
- * hat_ratio_step).  Inlined with alpha constant where it is small, so that
- * the loop over the generators unrolls. */
+ * hat_ratio_step).  Inlined once more with alpha = 2, the displacement rank
+ * of a Toeplitz matrix, as a constant, so that the loop over the generators
+ * unrolls: on a 2-vCPU x86-64 VM the generic path made diagnosed-small
+ * operations 16% slower at the median.  The tail of len mod HAT_LANES
+ * columns is inlined as well; called out of line once a row, it made the
+ * step 1.5 to 2 times as slow there. */
 static ALWAYS_INLINE void hat_rows(ptrdiff_t alpha, ptrdiff_t n, ptrdiff_t k, const cplx *phi,
                                    const double *inv_gap, const double *cols, double *phi_abs,
                                    double *sums)
@@ -247,22 +254,10 @@ static HAT_CLONES double hat_ratio_step(ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t 
             cols[(2 * alpha + m) * len + j] = cmag(z);
         }
     double sums[2] = {0.0, 0.0};
-    switch (alpha) {
-    case 1:
-        hat_rows(1, n, k, phi, inv_gap, cols, phi_abs, sums);
-        break;
-    case 2:
+    if (alpha == 2)
         hat_rows(2, n, k, phi, inv_gap, cols, phi_abs, sums);
-        break;
-    case 3:
-        hat_rows(3, n, k, phi, inv_gap, cols, phi_abs, sums);
-        break;
-    case 4:
-        hat_rows(4, n, k, phi, inv_gap, cols, phi_abs, sums);
-        break;
-    default:
+    else
         hat_rows(alpha, n, k, phi, inv_gap, cols, phi_abs, sums);
-    }
     if (sums[1] == 0.0)
         return NAN;
     return sqrt(sums[0]) / sqrt(sums[1]);

@@ -240,10 +240,11 @@ def recover_from_displacement(b) -> np.ndarray:
 
 
 def _relative(err, ref) -> float:
-    """err / ref for norms; against a zero ref, 0 for no error and inf otherwise."""
+    """err / ref for norms; against a zero ref, 0 for no error, NaN for a NaN
+    error and inf otherwise."""
     err, ref = float(err), float(ref)
     if ref == 0.0:
-        return 0.0 if err == 0.0 else np.inf
+        return err if np.isnan(err) or err == 0.0 else np.inf
     return err / ref
 
 
@@ -253,7 +254,8 @@ def _solve_errors(A: np.ndarray, b, x_tilde) -> BackwardErrorReport:
     The reference solution is ``np.linalg.solve(A, b)``.  When LAPACK meets
     an exactly zero pivot, or its solution is not finite, the system is
     singular to working precision and ``SingularMatrixError`` is raised.
-    For b = 0 both errors are 0 when x is exactly zero and inf otherwise.
+    For b = 0 both errors are 0 when x is exactly zero, NaN when x has a NaN
+    entry, and inf otherwise.
     """
     residual = _relative(np.linalg.norm(A @ x_tilde - b), np.linalg.norm(b))
     try:

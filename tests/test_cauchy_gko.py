@@ -624,8 +624,8 @@ def _lane_hat_ratio(gen, nodes):
 @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 40])
 def test_step_zero_hat_ratio_matches_lane_ordered_reference_bit_for_bit(n, alpha):
-    # alpha 1..4 run the kernel's constant-alpha copies of the row loop and
-    # alpha 5 the generic one; n 1, 7, 8, 9 and 40 leave 1, 7, 0, 1 and 0
+    # alpha 2 runs the kernel's constant-alpha copy of the row loop and the
+    # others the generic one; n 1, 7, 8, 9 and 40 leave 1, 7, 0, 1 and 0
     # columns past the last full group of lanes
     rng = np.random.default_rng(100 * n + alpha)
     shape = (n, alpha)

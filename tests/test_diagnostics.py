@@ -313,3 +313,12 @@ def test_solve_quality_zero_rhs_nonzero_answer_reads_infinite():
     coeffs = ss.random_toeplitz(4, seed=1)
     rep = ss.solve_quality(coeffs, np.zeros(4), np.full(4, 1e-3))
     assert rep.residual == np.inf and rep.forward_err == np.inf
+
+
+@pytest.mark.parametrize("b", [np.zeros(4), np.ones(4)], ids=["zero_rhs", "nonzero_rhs"])
+def test_solve_quality_nan_answer_reads_nan_whatever_the_rhs(b):
+    # a NaN answer shows as NaN, against b = 0 as against any other b
+    coeffs = ss.random_toeplitz(4, seed=1)
+    x_tilde = np.array([1.0, np.nan, 0.0, 0.0])
+    rep = ss.solve_quality(coeffs, b, x_tilde)
+    assert np.isnan(rep.residual) and np.isnan(rep.forward_err)
