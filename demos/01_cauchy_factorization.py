@@ -41,6 +41,7 @@ x = ss.solve_with_factors(fact, b)
 print(f"solve error against the known solution: "
       f"{np.linalg.norm(x - x_hat) / np.linalg.norm(x_hat):.3e}")
 
-# the factorization recorded the growth trace on the way
-print(f"largest per-step V-column magnitude seen: {fact.trace.v_col_max.max():.1f} "
+# the factorization recorded the growth trace on the way; max|v_kk| is the
+# V entry term of the growth factor g1
+print(f"largest pivot V entry max|v_kk|: {np.abs(fact.trace.v_kk).max():.1f} "
       "(mild cancellation; compare demo 03)")

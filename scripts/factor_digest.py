@@ -11,14 +11,17 @@ does that against a git revision.  Each line is ``<label> <strategy>
 <pivot digest> <non-hat digest> <full digest>``.  The pivot digest covers
 ``pivot_index``, ``pivot_is_col``, ``row_perm`` and ``col_perm``, so a
 change that keeps every pivot differs only in the other two.  The full
-digest covers L, U, ``row_perm``, ``col_perm``, every ``GrowthTrace``
-field, every ``growth_report`` field and ``v_matrix`` of the factored
-generators.  The non-hat digest covers the same except ``hat_ratio`` and
-the four report fields computed from it (g2, g3, ``bound_cauchy`` and
-``bound_toeplitz``), so a change that only rounds the hatted norm ratio
-differently differs only in the full digest, and only on lines that
-computed hat ratios.  The corpus is 149 instances under each of the
-strategies none, partial and row1col1 (447 factorizations):
+digest covers L, U, ``row_perm``, ``col_perm``, the ``GrowthTrace`` fields
+named in ``TRACE_FIELDS``, every ``growth_report`` field and ``v_matrix``
+of the factored generators.  The trace fields are a fixed list, not
+whatever the trace holds, so that a copy run in an older checkout, whose
+trace has more fields, digests the same values as here.  The non-hat
+digest covers the same except ``hat_ratio`` and the four report fields
+computed from it (g2, g3, ``bound_cauchy`` and ``bound_toeplitz``), so a
+change that only rounds the hatted norm ratio differently differs only in
+the full digest, and only on lines that computed hat ratios.  The corpus
+is 149 instances under each of the strategies none, partial and row1col1
+(447 factorizations):
 
 - the 100 random Cauchy-type instances of acceptance criterion 1;
 - the 25 random instances of the row-1/column-1 dense replay test;
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +107,17 @@ def _update(h, value) -> None:
     h.update(np.ascontiguousarray(value).tobytes())
 
 
+# the trace fields digested, in this order
+TRACE_FIELDS = (
+    "pivot_index",
+    "pivot_is_col",
+    "pivot_magnitude",
+    "v_kk",
+    "hat_ratio",
+    "hat_l_col",
+    "hat_u_row",
+    "hat_ratios_computed",
+)
 # the trace field and report fields left out of the non-hat digest
 HAT_TRACE_FIELD = "hat_ratio"
 HAT_REPORT_FIELDS = ("g2", "g3", "bound_cauchy", "bound_toeplitz")
@@ -129,8 +142,8 @@ def digest(gen, nodes, strategy, hat_ratios) -> str:
 
     for value in (f.L, f.U, f.row_perm, f.col_perm):
         add(value)
-    for fld in fields(f.trace):
-        add(getattr(f.trace, fld.name), fld.name == HAT_TRACE_FIELD)
+    for name in TRACE_FIELDS:
+        add(getattr(f.trace, name), name == HAT_TRACE_FIELD)
     for name, value in ss.growth_report(f.trace, f, nodes).to_dict().items():
         add(np.float64(value), name in HAT_REPORT_FIELDS)
     add(ss.v_matrix(gen))

@@ -23,6 +23,10 @@
  * column, t_k - s_j for the row) and where a line of L or U, or of inv_gap,
  * starts and how far apart its entries are.  gko_eliminate picks the side
  * whose line moved and recovers the other side from it.
+ *
+ * Besides the factors, a step records only what the growth report reads:
+ * the pivot, v_kk, the hatted norms of the new L column and U row and, when
+ * asked, the hat ratio.
  */
 
 #include <math.h>
@@ -279,7 +283,7 @@ typedef struct {
     ptrdiff_t lead, step;  /* line j of fac and of inv_gap starts at j lead,
                             * its entries step apart */
     ptrdiff_t fac_len, panel_lead, panel_len; /* finished entries a line */
-    double *v_max, *hat;   /* per-step V maximum and hatted norm */
+    double *hat;           /* per-step hatted norm */
     double sq;             /* running ||L||_F^2 - n or ||U||_F^2 */
 } side;
 
@@ -341,33 +345,22 @@ static void interchange(side *a, ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k, ptrd
     }
 }
 
-/* |phi||psi| / (phi psi) entry of V, +inf where |phi psi| is below v_floor */
-static inline double v_mag(double num, cplx den, double v_floor)
-{
-    double den_mag = cmag(den);
-    return den_mag < v_floor ? INFINITY : num / den_mag;
-}
-
-/* V statistics, hatted norm and Schur update of side a past the pivot
- * u_kk, b being the other side.  Each generator is read just before
+/* Hatted norm and Schur update of side a past the pivot u_kk, b being the
+ * other side.  Each generator is read just before
  *   gen_j <- gen_j - (line_j / u_kk) gen_k.
  * The hatted entry |v_j||factor entry j| is |gen_j||gen'_k| / |gap|, for L
- * over |u_kk| as well: the V denominator cancels, so degenerate ratios never
- * reach the hatted norms.  v_max and hat_sq arrive holding the diagonal's
- * V entry and squared hatted entry. */
+ * over |u_kk| as well: the V denominator cancels, so a fully cancelled entry
+ * never reaches the hatted norms.  hat_sq arrives holding the diagonal's
+ * squared hatted entry. */
 static void update(side *a, const side *b, ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k,
-                   cplx u_kk, double v_floor, double v_max, double hat_sq)
+                   cplx u_kk, double hat_sq)
 {
     divisor by_pivot = prepare(u_kk);
     double scale = a->rows ? cmag(u_kk) : 1.0, sq = a->sq;
     const cplx *gen_k = a->gen + k * alpha;
     for (ptrdiff_t j = k + 1; j < n; j++) {
         cplx *gen_j = a->gen + j * alpha;
-        double num = abs_dot(gen_j, b->gen_abs, alpha);
-        double v = v_mag(num, a->num[j], v_floor);
-        if (v > v_max)
-            v_max = v;
-        double h = num / (cmag(gap(a, j, b, k)) * scale);
+        double h = abs_dot(gen_j, b->gen_abs, alpha) / (cmag(gap(a, j, b, k)) * scale);
         hat_sq += h * h;
         cplx w = divide(a->line[j], by_pivot), e = a->line[j];
         if (a->rows)
@@ -379,7 +372,6 @@ static void update(side *a, const side *b, ptrdiff_t n, ptrdiff_t alpha, ptrdiff
             gen_j[m].im -= d.im;
         }
     }
-    a->v_max[k] = v_max;
     a->hat[k] = sqrt(hat_sq);
     a->sq = sq;
 }
@@ -389,11 +381,11 @@ static void update(side *a, const side *b, ptrdiff_t n, ptrdiff_t alpha, ptrdiff
  *
  * phi, psi, t, s, pidx and cidx are overwritten as elimination permutes and
  * updates them.  L must hold the identity and U zeros on entry; both are n x
- * n.  Per step k the trace arrays receive the pivot, its magnitude, the V
- * statistics and the hatted L column / U row norms; hat_ratio[k] is written
- * only when hat is nonzero, in which case inv_gap is work space of
- * n^2 + 3 alpha n doubles: the reciprocal gaps, then hat_ratio_step's
- * columns.  panel holds n x panel_width complex values: column k of L is
+ * n.  Per step k the trace arrays receive the pivot, its magnitude, v_kk
+ * (+inf where |phi_k psi_k| is below v_floor) and the hatted L column / U
+ * row norms; hat_ratio[k] is written only when hat is nonzero, in which
+ * case inv_gap is work space of n^2 + 3 alpha n doubles: the reciprocal
+ * gaps, then hat_ratio_step's columns.  panel holds n x panel_width complex values: column k of L is
  * gathered there, row by row, and copied into L every panel_width steps.
  * work_c holds 3n complex values, work_r 2n + 2 alpha doubles.
  * sums receives ||L||_F^2 - n and ||U||_F^2 and, when a step fails, the
@@ -407,17 +399,17 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
                         double v_floor, ptrdiff_t panel_width, cplx *phi, cplx *psi,
                         cplx *t, cplx *s, cplx *L, cplx *U, ptrdiff_t *pidx, ptrdiff_t *cidx,
                         ptrdiff_t *piv_index, unsigned char *piv_is_col, double *piv_mag,
-                        double *v_col_max, double *v_row_max, cplx *v_kk, double *hat_ratio,
-                        double *hat_l, double *hat_u, double *inv_gap, cplx *panel,
-                        cplx *work_c, double *work_r, double *sums)
+                        cplx *v_kk, double *hat_ratio, double *hat_l, double *hat_u,
+                        double *inv_gap, cplx *panel, cplx *work_c, double *work_r,
+                        double *sums)
 {
     side rows = {.node = t, .gen = phi, .line = work_c, .num = work_c + n, .mag = work_r,
                  .gen_abs = work_r + 2 * n, .idx = pidx, .rows = 1, .fac = L,
                  .panel = panel, .lead = n, .step = 1, .panel_lead = panel_width,
-                 .v_max = v_col_max, .hat = hat_l};
+                 .hat = hat_l};
     side cols = {.node = s, .gen = psi, .num = work_c + 2 * n, .mag = work_r + n,
                  .gen_abs = rows.gen_abs + alpha, .idx = cidx, .fac = U, .lead = 1,
-                 .step = n, .v_max = v_row_max, .hat = hat_u};
+                 .step = n, .hat = hat_u};
 
     if (hat)
         for (ptrdiff_t i = 0; i < n; i++)
@@ -466,21 +458,20 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
             return k;
         }
 
-        /* V statistics and hatted norms at the pivoted step-k generators.
-         * The diagonal's hatted entry is |v_kk| in L, whose diagonal is one,
-         * and |phi_k||psi_k| / |t_k - s_k| in U. */
+        /* v_kk and the hatted norms at the pivoted step-k generators.  The
+         * diagonal's hatted entry is |v_kk| in L, whose diagonal is one, and
+         * |phi_k||psi_k| / |t_k - s_k| in U. */
         for (ptrdiff_t m = 0; m < alpha; m++) {
             rows.gen_abs[m] = cmag(phi[k * alpha + m]);
             cols.gen_abs[m] = cmag(psi[k * alpha + m]);
         }
         double num = abs_dot(phi + k * alpha, cols.gen_abs, alpha);
-        double v_diag = v_mag(num, rows.num[k], v_floor);
         v_kk[k] = cmag(rows.num[k]) < v_floor ? (cplx){INFINITY, 0.0}
                                                : cdiv((cplx){num, 0.0}, rows.num[k]);
         double h_l = cmag(v_kk[k]), h_u = num / cmag(csub(t[k], s[k]));
         cols.sq += u_kk.re * u_kk.re + u_kk.im * u_kk.im;
-        update(&rows, &cols, n, alpha, k, u_kk, v_floor, v_diag, h_l * h_l);
-        update(&cols, &rows, n, alpha, k, u_kk, v_floor, v_diag, h_u * h_u);
+        update(&rows, &cols, n, alpha, k, u_kk, h_l * h_l);
+        update(&cols, &rows, n, alpha, k, u_kk, h_u * h_u);
 
         if (c == panel_width - 1 || k == n - 1)
             for (ptrdiff_t j = k0 + 1; j < n; j++) {

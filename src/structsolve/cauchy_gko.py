@@ -39,7 +39,8 @@ __all__ = [
     "solve_with_factors",
 ]
 
-#: |denominator| below this counts as a degenerate (flagged-infinite) V entry
+#: |denominator| below this counts as a degenerate (flagged-infinite) V entry;
+#: the kernel applies it to v_kk, ``diagnostics.v_matrix`` to every entry
 V_DEGENERATE_FLOOR = 1e-300
 
 #: orders above which the O(n^3) hatted-ratio diagnostic is skipped on "auto"
@@ -69,29 +70,30 @@ class PivotStrategy(enum.Enum):
             "row1col1": cls.ROW1_COL1,
             "row1_col1": cls.ROW1_COL1,
         }
-        try:
-            return aliases[str(value).lower()]
-        except KeyError:
-            raise ValueError(f"unknown pivot strategy {value!r}") from None
+        # str(None) would be "none": only a strategy or its name is accepted
+        if isinstance(value, str) and value.lower() in aliases:
+            return aliases[value.lower()]
+        raise ValueError(f"unknown pivot strategy {value!r}")
 
 
 @dataclass
 class GrowthTrace:
     """Per-elimination-step record of generator-growth quantities.
 
-    ``hat_ratio[k]`` is ||V(k) o R_k||_F / ||R_k||_F, the step-k hatted norm
-    ratio feeding the g2 growth factor (NaN where not computed).  The
-    ``hat_l_col`` / ``hat_u_row`` entries are the norms of the step-k column
-    of L and row of U weighted elementwise by the step-k V column and row:
-    summed in quadrature over k they give ||Lhat|| and ||Uhat|| without ever
-    storing a V matrix.
+    It holds what ``growth_report`` reads.  ``v_kk[k]`` is the step-k V entry
+    on the diagonal, |phi_k||psi_k| / (phi_k psi_k), and +inf where
+    |phi_k psi_k| is below ``V_DEGENERATE_FLOOR``; its largest magnitude is a
+    term of g1.  ``hat_ratio[k]`` is ||V(k) o R_k||_F / ||R_k||_F, the step-k
+    hatted norm ratio feeding the g2 growth factor (NaN where not computed).
+    The ``hat_l_col`` / ``hat_u_row`` entries are the norms of the step-k
+    column of L and row of U weighted elementwise by the step-k V column and
+    row: summed in quadrature over k they give ||Lhat|| and ||Uhat|| without
+    ever storing a V matrix.
     """
 
     pivot_index: np.ndarray
     pivot_is_col: np.ndarray
     pivot_magnitude: np.ndarray
-    v_col_max: np.ndarray
-    v_row_max: np.ndarray
     v_kk: np.ndarray
     hat_ratio: np.ndarray
     hat_l_col: np.ndarray
@@ -101,14 +103,6 @@ class GrowthTrace:
     @property
     def n(self) -> int:
         return self.pivot_index.size
-
-    @property
-    def degenerate(self) -> bool:
-        """True when any recorded V statistic overflowed to infinity."""
-        stats = np.concatenate(
-            [self.v_col_max, self.v_row_max, np.abs(self.v_kk)]
-        )
-        return not bool(np.all(np.isfinite(stats)))
 
 
 @dataclass
@@ -144,17 +138,6 @@ class GKOFactorization:
         return out
 
 
-def _v_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Elementwise |phi||psi| / (phi psi); degenerate denominators go to inf."""
-    mag = np.abs(den)
-    if mag.min(initial=np.inf) >= V_DEGENERATE_FLOOR:
-        return num / den
-    out = np.full(den.shape, np.inf + 0j, dtype=complex)
-    ok = mag >= V_DEGENERATE_FLOOR
-    out[ok] = num[ok] / den[ok]
-    return out
-
-
 _KERNEL_SOURCE = Path(__file__).with_name("_gko_kernel.c")
 # no -ffast-math, -march=native or -fcx-limited-range: each changes rounding
 # or overflow, and a library cached for one machine must run on its twin.
@@ -176,13 +159,13 @@ _STRATEGY_CODES = {
 
 
 # dtypes of the kernel's array arguments, in order: phi, psi^T, t, s, L, U;
-# pidx, cidx, pivot_index, pivot_is_col; pivot_magnitude, v_col_max,
-# v_row_max, v_kk; hat_ratio, hat_l_col, hat_u_row, the hat ratio's work; the
-# L panel, complex and real work space, and the norm sums
+# pidx, cidx, pivot_index, pivot_is_col; pivot_magnitude, v_kk; hat_ratio,
+# hat_l_col, hat_u_row, the hat ratio's work; the L panel, complex and real
+# work space, and the norm sums
 _KERNEL_ARRAYS = (
     (complex,) * 6
     + (np.intp, np.intp, np.intp, np.bool_)
-    + (float, float, float, complex)
+    + (float, complex)
     + (float, float, float, float)
     + (complex, complex, float, float)
 )
@@ -315,8 +298,6 @@ def gko_factor(
         pivot_index=np.zeros(n, dtype=np.intp),
         pivot_is_col=np.zeros(n, dtype=bool),
         pivot_magnitude=np.zeros(n),
-        v_col_max=np.zeros(n),
-        v_row_max=np.zeros(n),
         v_kk=np.zeros(n, dtype=complex),
         hat_ratio=np.full(n, np.nan),
         hat_l_col=np.zeros(n),
@@ -332,7 +313,7 @@ def gko_factor(
     arrays = (
         phi, psi_t, t, s, L, U,
         pidx, cidx, trace.pivot_index, trace.pivot_is_col,
-        trace.pivot_magnitude, trace.v_col_max, trace.v_row_max, trace.v_kk,
+        trace.pivot_magnitude, trace.v_kk,
         trace.hat_ratio, trace.hat_l_col, trace.hat_u_row, hat_work,
         panel, work_c, work_r, sums,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy_gko import GKOFactorization, GrowthTrace, _v_ratio
+from .cauchy_gko import V_DEGENERATE_FLOOR, GKOFactorization, GrowthTrace
 from .core import (
     EPS,
     CauchyNodes,
@@ -112,6 +112,17 @@ def _check_orders(n: int, **orders: int) -> None:
     for name, m in orders.items():
         if m != n:
             raise ValueError(f"factorization is order {n}, {name} order {m}")
+
+
+def _v_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Elementwise |phi||psi| / (phi psi); degenerate denominators go to inf."""
+    mag = np.abs(den)
+    if mag.min(initial=np.inf) >= V_DEGENERATE_FLOOR:
+        return num / den
+    out = np.full(den.shape, np.inf + 0j, dtype=complex)
+    ok = mag >= V_DEGENERATE_FLOOR
+    out[ok] = num[ok] / den[ok]
+    return out
 
 
 def v_matrix(gen: GeneratorPair) -> np.ndarray:
@@ -248,6 +259,28 @@ def _relative(err, ref) -> float:
     return err / ref
 
 
+def _norm(v) -> float:
+    """2-norm of v, taken as m ||v / m|| with m = max |v_i| when the plain
+    ``np.linalg.norm`` under- or overflows.
+
+    Squares of entries below about 1e-154 underflow, so a vector of 1e-300
+    entries would have norm 0; LAPACK's ``dnrm2`` scales by the largest
+    magnitude for the same reason.  The rescaled norm is taken only when the
+    plain one is 0, subnormal or inf and v is finite and not zero, so any
+    other norm keeps its bits.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not (norm < np.finfo(float).tiny or norm == np.inf):
+        return norm
+    mag = np.abs(v)
+    m = float(mag.max(initial=0.0))
+    if m == 0.0 or not np.isfinite(m):
+        return norm
+    # real quotients: a complex one by a subnormal m would overflow
+    return m * float(np.linalg.norm(mag / m))
+
+
 def _solve_errors(A: np.ndarray, b, x_tilde) -> BackwardErrorReport:
     """Residual ||A x - b|| / ||b|| and forward error against LAPACK's GE/PP.
 
@@ -255,16 +288,16 @@ def _solve_errors(A: np.ndarray, b, x_tilde) -> BackwardErrorReport:
     an exactly zero pivot, or its solution is not finite, the system is
     singular to working precision and ``SingularMatrixError`` is raised.
     For b = 0 both errors are 0 when x is exactly zero, NaN when x has a NaN
-    entry, and inf otherwise.
+    entry, and inf otherwise, however small x is.
     """
-    residual = _relative(np.linalg.norm(A @ x_tilde - b), np.linalg.norm(b))
+    residual = _relative(_norm(A @ x_tilde - b), _norm(b))
     try:
         x_ref = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"reference solve failed: {exc}") from exc
     if not np.all(np.isfinite(x_ref)):
         raise SingularMatrixError("reference solve has non-finite entries")
-    forward = _relative(np.linalg.norm(x_tilde - x_ref), np.linalg.norm(x_ref))
+    forward = _relative(_norm(x_tilde - x_ref), _norm(x_ref))
     return BackwardErrorReport(residual=residual, forward_err=forward)
 
 

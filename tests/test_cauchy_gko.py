@@ -142,23 +142,25 @@ def test_gko_factor_matches_dense_gepp():
 
 
 def test_gko_factor_cancellation_growth_shows_in_trace():
+    # max|v_kk| is 7.8e8 and g1 1.6e9 here, against 7.8e2 and 1.6e3 at f_norm 1e-2
     gen, nodes = ss.cancellation_cauchy(8, f_norm=1e-8, seed=3)
     f = ss.gko_factor(gen, nodes, "partial")
-    assert f.trace.v_col_max[0] >= 1e6
+    assert np.abs(f.trace.v_kk).max() >= 1e8
+    assert ss.growth_report(f.trace, f, nodes).g1 >= 1e9
 
 
 @pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
-def test_gko_factor_flags_degenerate_v_entry(strategy):
+def test_gko_factor_cancelled_entry_leaves_factors_finite(strategy):
     # phi row [1, 1] against psi column [1, -1]: the step-0 column has an
-    # exactly zero numerator below the pivot, so its V entry is degenerate
+    # exactly zero numerator below the pivot, so its V entry is degenerate;
+    # it must not poison the factors or the hatted norms
     phi = np.array([[2.0, 0.0], [1.0, 1.0], [1.0, 0.5]])
     psi = np.array([[1.0, 1.0, 1.0], [-1.0, 0.5, 2.0]])
     gen = ss.GeneratorPair(phi=phi, psi=psi)
     nodes = ss.CauchyNodes(t=[1.0, 2.0, 3.0], s=[0.5, 1.5, 2.5])
+    assert np.isinf(ss.v_matrix(gen)[1, 0])
     f = ss.gko_factor(gen, nodes, strategy)
     assert f.trace.pivot_index[0] == 0
-    assert np.isinf(f.trace.v_col_max[0])
-    assert f.trace.degenerate
     assert np.all(np.isfinite(f.L)) and np.all(np.isfinite(f.U))
     assert np.all(np.isfinite(f.trace.hat_l_col)) and np.all(np.isfinite(f.trace.hat_u_row))
     R = ss.materialize_cauchy(gen, nodes)
@@ -185,7 +187,7 @@ def _v_ratio_reference(num, den):
     ids=["floor", "sub-floor", "zero", "2d-sub-floor", "2d", "empty"],
 )
 def test_v_ratio_matches_elementwise_reference(den):
-    from structsolve.cauchy_gko import _v_ratio
+    from structsolve.diagnostics import _v_ratio
 
     den = np.asarray(den, dtype=complex)
     num = np.arange(1.0, den.size + 1.0).reshape(den.shape)
@@ -535,6 +537,17 @@ def test_hat_ratios_rejects_strings_other_than_auto(value):
         assert f.trace.hat_ratios_computed == bool(on)
 
 
+@pytest.mark.parametrize("value", [None, True, 1], ids=["None", "True", "1"])
+def test_pivot_strategy_accepts_only_a_strategy_or_its_name(value):
+    # str(None).lower() is "none": a non-string must not pass for a name
+    with pytest.raises(ValueError, match="unknown pivot strategy"):
+        ss.PivotStrategy.coerce(value)
+    with pytest.raises(ValueError, match="unknown pivot strategy"):
+        ss.toeplitz_factor(ss.random_toeplitz(8, seed=1), value)
+    assert ss.PivotStrategy.coerce("Partial") is ss.PivotStrategy.PARTIAL_ROW
+    assert ss.PivotStrategy.coerce(ss.PivotStrategy.NONE) is ss.PivotStrategy.NONE
+
+
 def _step_generators(gen, nodes, f):
     """Each step's generators and nodes, rebuilt from L, U and the permutations.
 
@@ -659,20 +672,17 @@ def _step_statistics_from_factors(gen, nodes, f):
     """Every per-step trace statistic of the rebuilt step generators.
 
     Each step's first column and row are recovered from its generators, and
-    the V ratios, pivot and hatted norms follow from their definitions.
+    the pivot, v_kk and hatted norms follow from their definitions.
     """
-    names = ("pivot_magnitude", "v_col_max", "v_row_max", "v_kk", "hat_l_col", "hat_u_row")
+    names = ("pivot_magnitude", "v_kk", "hat_l_col", "hat_u_row")
     out = {name: np.empty(f.n, dtype=complex if name == "v_kk" else float) for name in names}
     for k, (phi_k, psi_k, t_k, s_k) in enumerate(_step_generators(gen, nodes, f)):
         col_den = phi_k @ psi_k[:, 0]
-        row_den = phi_k[0] @ psi_k
         col_num = np.abs(phi_k) @ np.abs(psi_k[:, 0])
         row_num = np.abs(phi_k[0]) @ np.abs(psi_k)
         u_kk = col_den[0] / (t_k[0] - s_k[0])
         v_kk = col_num[0] / col_den[0]
         out["pivot_magnitude"][k] = abs(u_kk)
-        out["v_col_max"][k] = np.max(col_num / np.abs(col_den))
-        out["v_row_max"][k] = np.max(row_num / np.abs(row_den))
         out["v_kk"][k] = v_kk
         # |v_jk l_jk| = col_num_j / (|t_j - s_k| |u_kk|), |v_kj u_kj| = row_num_j / |t_k - s_j|
         hat_l = col_num[1:] / (np.abs(t_k[1:] - s_k[0]) * abs(u_kk))

@@ -315,6 +315,28 @@ def test_solve_quality_zero_rhs_nonzero_answer_reads_infinite():
     assert rep.residual == np.inf and rep.forward_err == np.inf
 
 
+def test_solve_quality_zero_rhs_underflowing_answer_reads_infinite():
+    # the squares of 1e-300 underflow, so a plain 2-norm of x reads 0
+    coeffs = ss.random_toeplitz(4, seed=1)
+    rep = ss.solve_quality(coeffs, np.zeros(4), np.full(4, 1e-300))
+    assert rep.residual == np.inf and rep.forward_err == np.inf
+
+
+def test_solve_quality_tiny_rhs_reads_the_errors_of_the_unscaled_system():
+    # b scaled by 2^-996 (1.5e-300) scales its solution exactly; the errors,
+    # whose vectors are subnormal, agree to the precision left to them
+    coeffs = ss.random_toeplitz(4, seed=1)
+    f = ss.toeplitz_factor(coeffs, "partial")
+    b = ss.dense_toeplitz(coeffs) @ np.linspace(1.0, 2.0, 4)
+    reps = [
+        ss.solve_quality(coeffs, scale * b, ss.toeplitz_solve(f, scale * b))
+        for scale in (1.0, 2.0**-996)
+    ]
+    assert reps[0].residual > 0.0 and reps[0].forward_err > 0.0
+    assert_allclose(reps[1].residual, reps[0].residual, rtol=1e-3)
+    assert_allclose(reps[1].forward_err, reps[0].forward_err, rtol=1e-3)
+
+
 @pytest.mark.parametrize("b", [np.zeros(4), np.ones(4)], ids=["zero_rhs", "nonzero_rhs"])
 def test_solve_quality_nan_answer_reads_nan_whatever_the_rhs(b):
     # a NaN answer shows as NaN, against b = 0 as against any other b
