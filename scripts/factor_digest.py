@@ -8,18 +8,23 @@ this script:
 Running it in two checkouts and diffing the output shows whether a change
 kept the factorizations bit-identical; ``scripts/digest_against.sh REV``
 does that against a git revision.  Each line is ``<label> <strategy>
-<pivot digest> <non-hat digest> <full digest>``.  The pivot digest covers
-``pivot_index``, ``pivot_is_col``, ``row_perm`` and ``col_perm``, so a
-change that keeps every pivot differs only in the other two.  The full
-digest covers L, U, ``row_perm``, ``col_perm``, the ``GrowthTrace`` fields
-named in ``TRACE_FIELDS``, every ``growth_report`` field and ``v_matrix``
-of the factored generators.  The trace fields are a fixed list, not
-whatever the trace holds, so that a copy run in an older checkout, whose
-trace has more fields, digests the same values as here.  The non-hat
-digest covers the same except ``hat_ratio`` and the four report fields
-computed from it (g2, g3, ``bound_cauchy`` and ``bound_toeplitz``), so a
-change that only rounds the hatted norm ratio differently differs only in
-the full digest, and only on lines that computed hat ratios.  The corpus
+<pivot digest> <factors digest> <non-hat digest> <full digest>``.  The
+pivot digest covers ``pivot_index``, ``pivot_is_col``, ``row_perm`` and
+``col_perm``, so a change that keeps every pivot differs only in the other
+three.  The factors digest covers L, U, ``row_perm``, ``col_perm`` and the
+trace fields named in ``FACTOR_TRACE_FIELDS`` (``pivot_index``,
+``pivot_is_col``, ``pivot_magnitude``, ``v_kk``): everything a step
+computes entry by entry, so a change that only sums the hatted norms or
+``norm_L`` and ``norm_U`` in another order keeps it and moves the last
+two.  The full digest covers L, U, ``row_perm``, ``col_perm``, the
+``GrowthTrace`` fields named in ``TRACE_FIELDS``, every ``growth_report``
+field and ``v_matrix`` of the factored generators.  The trace fields are a
+fixed list, not whatever the trace holds, so that a copy run in an older
+checkout, whose trace has more fields, digests the same values as here.
+The non-hat digest covers the same except ``hat_ratio`` and the four report
+fields computed from it (g2, g3, ``bound_cauchy`` and ``bound_toeplitz``),
+so a change that only rounds the hatted norm ratio differently differs only
+in the full digest, and only on lines that computed hat ratios.  The corpus
 is 149 instances under each of the strategies none, partial and row1col1
 (447 factorizations):
 
@@ -36,7 +41,7 @@ norm ratio above n = 256.  Three lines follow for ``random_toeplitz(300,
 seed=300)`` with ``hat_ratios=True``, one per strategy.  Then follow 24
 lines for 8 inputs that are singular or have an exactly zero (1, 1) entry,
 under each strategy.  A factorization that raises ``SingularMatrixError``
-prints the error message instead of the three digests.
+prints the error message instead of the four digests.
 
 The digests depend on the BLAS in use, so compare two checkouts only on
 the same machine and numpy.
@@ -118,6 +123,8 @@ TRACE_FIELDS = (
     "hat_u_row",
     "hat_ratios_computed",
 )
+# the trace fields of the factors digest, in this order
+FACTOR_TRACE_FIELDS = ("pivot_index", "pivot_is_col", "pivot_magnitude", "v_kk")
 # the trace field and report fields left out of the non-hat digest
 HAT_TRACE_FIELD = "hat_ratio"
 HAT_REPORT_FIELDS = ("g2", "g3", "bound_cauchy", "bound_toeplitz")
@@ -131,6 +138,11 @@ def digest(gen, nodes, strategy, hat_ratios) -> str:
     pivots = hashlib.sha256()
     for value in (f.trace.pivot_index, f.trace.pivot_is_col, f.row_perm, f.col_perm):
         _update(pivots, value)
+    factors = hashlib.sha256()
+    for value in (f.L, f.U, f.row_perm, f.col_perm):
+        _update(factors, value)
+    for name in FACTOR_TRACE_FIELDS:
+        _update(factors, getattr(f.trace, name))
     # every value goes into the full digest, and all but the hat-ratio ones
     # into the non-hat digest as well, in the same order
     full, non_hat = hashlib.sha256(), hashlib.sha256()
@@ -147,7 +159,7 @@ def digest(gen, nodes, strategy, hat_ratios) -> str:
     for name, value in ss.growth_report(f.trace, f, nodes).to_dict().items():
         add(np.float64(value), name in HAT_REPORT_FIELDS)
     add(ss.v_matrix(gen))
-    return f"{pivots.hexdigest()} {non_hat.hexdigest()} {full.hexdigest()}"
+    return f"{pivots.hexdigest()} {factors.hexdigest()} {non_hat.hexdigest()} {full.hexdigest()}"
 
 
 def main() -> int:

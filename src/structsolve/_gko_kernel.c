@@ -11,18 +11,43 @@
  * multiply-add.  Magnitudes are sqrt(re^2 + im^2) inside a range where the
  * squares can neither overflow nor lose the result, and hypot outside it;
  * they can differ from numpy's hypot by an ulp or two.  Argmax scans take
- * the first maximum (a strict >).
+ * the first maximum (the smallest index).
  *
  * Each elimination step describes the two sides of the matrix with one
  * descriptor type, side: the rows (nodes t, generators phi, the recovered
  * column, L, pidx) and the columns (nodes s, psi^T, the recovered row, U,
  * cidx).  A column interchange on R is a row interchange on R^T, whose
- * generators are (psi^T, phi^T), so recover, interchange and update are
- * each one routine called once per side.  What differs between the sides
- * is data in the descriptor: which node leads the gap (t_j - s_k for the
- * column, t_k - s_j for the row) and where a line of L or U, or of inv_gap,
- * starts and how far apart its entries are.  gko_eliminate picks the side
- * whose line moved and recovers the other side from it.
+ * generators are (psi^T, phi^T), so recovering a line, scanning it and
+ * updating past the pivot are each one routine for both sides.  What
+ * differs between the sides is which node leads the gap (t_j - s_k for the
+ * column, t_k - s_j for the row), whether the factor's entries are divided
+ * by the pivot, and where a line of L or U, or of inv_gap, starts and how
+ * far apart its entries are.  A step picks the side whose line moved and
+ * recovers the other side from it.
+ *
+ * The loops over the entries of a line are written for the vectoriser, and
+ * give the same bits at every vector width:
+ *  - Smith division selects its operands instead of branching (see
+ *    prepare), so a quotient has the bits of numpy's.  No division needs
+ *    numpy's zero-divisor path: CauchyNodes refuses nodes with t_i close to
+ *    s_j, so no gap is zero, and a step stops on a pivot at most n eps
+ *    times the largest candidate, so the pivot is never zero.
+ *  - A magnitude is sqrt(re^2 + im^2) with a flag for sums of squares
+ *    outside cmag's range, NaN included (quick_mag).  A pass that only
+ *    reads is redone with cmag when any entry is flagged, so every
+ *    magnitude is cmag's.
+ *  - Sums over the entries of a line past the pivot k (the hatted norms,
+ *    ||L||_F and ||U||_F) run in HAT_LANES interleaved partial sums: entry
+ *    j goes to sum (j - k - 1) mod HAT_LANES.  The partial sums are added
+ *    in lane order, then to the step's running total.  The chunks of
+ *    HAT_LANES entries are vectorised; the last, shorter chunk runs in one
+ *    scalar copy with cmag's magnitudes.  The argmax keeps a (largest,
+ *    first index) pair per lane and merges them so that the smallest index
+ *    wins a tie.
+ *  - The side is a constant of each inlined pass, and alpha = 2, the
+ *    displacement rank of every Toeplitz input, has its own copy of the
+ *    step, the only one with an AVX2 clone.  Only the lane-summed norms
+ *    differ from one running sum over the entries, at rounding level.
  *
  * Besides the factors, a step records only what the growth report reads:
  * the pivot, v_kk, the hatted norms of the new L column and U row and, when
@@ -64,43 +89,68 @@ static inline double cmag(cplx z)
     return hypot(z.re, z.im);
 }
 
-/* A divisor prepared for numpy's Smith division: rat and scl depend on the
- * divisor alone, so dividing many numerators by one value costs products. */
+/* numpy's Smith division a / b, for b != 0.  Where |b.re| >= |b.im| it is
+ *   ((a.re + a.im rat) scl, (a.im - a.re rat) scl),
+ *   rat = b.im / b.re, scl = 1 / (b.re + b.im rat);
+ * where the imaginary part is major, numpy's formulas are these same
+ * operations on a (-i) / b (-i), whose divisor's major part is real.  A
+ * rotation by -i swaps the parts and negates one, which is exact, so a
+ * quotient rotates both operands where the imaginary part is major and
+ * divides as for a real major part.  cdiv rotates both operands before it
+ * divides: with a division between selects on one condition, GCC merges
+ * the selects into a branch and leaves a loop of quotients scalar.  rat
+ * and scl depend on the divisor alone, so dividing many numerators by one
+ * value costs products.
+ *
+ * Nothing here divides by zero: no gap is zero, because CauchyNodes refuses
+ * nodes with t_i close to s_j; a step stops before dividing by a pivot at
+ * most n eps times the largest candidate; v_kk's divisor is at least
+ * v_floor; and solve_with_factors refuses a zero on U's diagonal. */
 typedef struct {
-    int real_major, zero;
-    double rat, scl, abs_re;
+    int real_major;
+    double rat, scl;
 } divisor;
+
+/* z, or z (-i) = (im, -re) when the imaginary part is the major one */
+static inline cplx rotate(cplx z, int real_major)
+{
+    return (cplx){real_major ? z.re : z.im, real_major ? z.im : -z.re};
+}
+
+/* r / b for a rotated numerator r and a divisor b with a real major part */
+static inline cplx quotient(cplx r, double rat, double scl)
+{
+    return (cplx){(r.re + r.im * rat) * scl, (r.im - r.re * rat) * scl};
+}
 
 static inline divisor prepare(cplx b)
 {
-    divisor d = {0, 0, 0.0, 0.0, fabs(b.re)};
-    if (fabs(b.re) >= fabs(b.im)) {
-        d.real_major = 1;
-        if (b.re == 0.0 && b.im == 0.0) {
-            d.zero = 1;
-        } else {
-            d.rat = b.im / b.re;
-            d.scl = 1.0 / (b.re + b.im * d.rat);
-        }
-    } else {
-        d.rat = b.re / b.im;
-        d.scl = 1.0 / (b.im + b.re * d.rat);
-    }
-    return d;
+    int real_major = fabs(b.re) >= fabs(b.im);
+    cplx r = rotate(b, real_major);
+    double rat = r.im / r.re;
+    return (divisor){real_major, rat, 1.0 / (r.re + r.im * rat)};
 }
 
 static inline cplx divide(cplx a, divisor d)
 {
-    if (d.zero)
-        return (cplx){a.re / d.abs_re, a.im / d.abs_re};
-    if (d.real_major)
-        return (cplx){(a.re + a.im * d.rat) * d.scl, (a.im - a.re * d.rat) * d.scl};
-    return (cplx){(a.re * d.rat + a.im) * d.scl, (a.im * d.rat - a.re) * d.scl};
+    return quotient(rotate(a, d.real_major), d.rat, d.scl);
 }
 
 static inline cplx cdiv(cplx a, cplx b)
 {
-    return divide(a, prepare(b));
+    int real_major = fabs(b.re) >= fabs(b.im);
+    cplx ra = rotate(a, real_major), rb = rotate(b, real_major);
+    double rat = rb.im / rb.re;
+    return quotient(ra, rat, 1.0 / (rb.re + rb.im * rat));
+}
+
+/* sqrt(re^2 + im^2), which is cmag(z) unless *off is set: it becomes
+ * nonzero when the sum of squares is outside cmag's range or NaN */
+static inline double quick_mag(cplx z, long *off)
+{
+    double sq = z.re * z.re + z.im * z.im;
+    *off |= !((sq >= MAG_SQ_MIN) & (sq <= MAG_SQ_MAX));
+    return sqrt(sq);
 }
 
 static inline cplx dot(const cplx *x, const cplx *y, ptrdiff_t alpha)
@@ -137,12 +187,20 @@ static void swap_lines(cplx *a, ptrdiff_t k, ptrdiff_t p, ptrdiff_t lead, ptrdif
         swap_c(a + k * lead + i * step, a + p * lead + i * step);
 }
 
-/* The hat ratio's sums of squares over a row are split into HAT_LANES
- * interleaved partial sums: column j of the step goes to sum j mod
- * HAT_LANES.  The partial sums are added in lane order and the rows in row
- * order, so the result is fixed by the source; with no reassociation and
- * no fused multiply-add every vector width gives the same bits. */
+/* The number of interleaved partial sums of every lane-split loop; see the
+ * top of the file for the step and hat_rows for the hat ratio. */
 #define HAT_LANES 8
+
+/* lane[0] + lane[1] + ... + lane[7], in lane order; written out, since
+ * GCC vectorises the loop form in every copy, to no gain */
+#if HAT_LANES != 8
+#error "lane_total adds exactly eight lanes"
+#endif
+static inline double lane_total(const double *lane)
+{
+    return ((((((lane[0] + lane[1]) + lane[2]) + lane[3]) + lane[4]) + lane[5]) + lane[6]) +
+           lane[7];
+}
 
 #if defined(__GNUC__) || defined(__clang__)
 #define ALWAYS_INLINE inline __attribute__((always_inline))
@@ -157,19 +215,29 @@ static void swap_lines(cplx *a, ptrdiff_t k, ptrdiff_t p, ptrdiff_t lead, ptrdif
 #else
 #define LANE_LOOP
 #endif
+/* A loop whose stores overlap none of its loads; GCC cannot see that
+ * through the inlined restrict pointers and would add an aliasing check and
+ * a scalar copy of the loop. */
+#if defined(__GNUC__) && !defined(__clang__)
+#define NO_OVERLAP _Pragma("GCC ivdep")
+#else
+#define NO_OVERLAP
+#endif
 
-/* target_clones dispatches through an ifunc, which needs the GNU dynamic
- * loader; elsewhere hat_ratio_step is compiled once, for the base ISA, as
- * it is everywhere when HAT_CLONES is defined empty (-DHAT_CLONES=) */
-#ifndef HAT_CLONES
+/* hat_ratio_step, step_rank2 and largest are compiled twice, for AVX2 and
+ * for the base ISA, and the dynamic loader picks the copy for the CPU.
+ * target_clones dispatches through an ifunc, which needs the GNU dynamic
+ * loader; elsewhere they are compiled once, for the base ISA, as they are
+ * everywhere when KERNEL_CLONES is defined empty (-DKERNEL_CLONES=). */
+#ifndef KERNEL_CLONES
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define HAT_CLONES __attribute__((target_clones("avx2", "default")))
+#define KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
 #endif
 #endif
 #endif
-#ifndef HAT_CLONES
-#define HAT_CLONES
+#ifndef KERNEL_CLONES
+#define KERNEL_CLONES
 #endif
 
 /* cnt <= HAT_LANES consecutive columns of one row of the hat ratio: adds
@@ -208,12 +276,16 @@ static ALWAYS_INLINE void hat_chunk(ptrdiff_t alpha, ptrdiff_t cnt, ptrdiff_t ld
 
 /* Rows k..n-1 of the hat ratio's sums of squares into sums[0] (hatted) and
  * sums[1] (plain), for the len = n - k columns of cols (see
- * hat_ratio_step).  Inlined once more with alpha = 2, the displacement rank
- * of a Toeplitz matrix, as a constant, so that the loop over the generators
+ * hat_ratio_step).  In each row, column j goes to partial sum j mod
+ * HAT_LANES; the partial sums are added in lane order and the rows in row
+ * order.  Inlined once more with alpha = 2, the displacement rank of a
+ * Toeplitz matrix, as a constant, so that the loop over the generators
  * unrolls: on a 2-vCPU x86-64 VM the generic path made diagnosed-small
  * operations 16% slower at the median.  The tail of len mod HAT_LANES
- * columns is inlined as well; called out of line once a row, it made the
- * step 1.5 to 2 times as slow there. */
+ * columns is inlined as well (called out of line once a row, it made the
+ * step 1.5 to 2 times as slow there), one column a chunk: GCC would
+ * vectorise a chunk of variable length in every copy, a sixth of the
+ * kernel's compile time, to no gain. */
 static ALWAYS_INLINE void hat_rows(ptrdiff_t alpha, ptrdiff_t n, ptrdiff_t k, const cplx *phi,
                                    const double *inv_gap, const double *cols, double *phi_abs,
                                    double *sums)
@@ -229,15 +301,11 @@ static ALWAYS_INLINE void hat_rows(ptrdiff_t alpha, ptrdiff_t n, ptrdiff_t k, co
         for (ptrdiff_t j = 0; j < full; j += HAT_LANES)
             hat_chunk(alpha, HAT_LANES, len, phi_i, phi_abs, g + j, re + j, im + j, mag + j,
                       num_lane, den_lane);
-        hat_chunk(alpha, len - full, len, phi_i, phi_abs, g + full, re + full, im + full,
-                  mag + full, num_lane, den_lane);
-        double num_sq = num_lane[0], den_sq = den_lane[0];
-        for (int l = 1; l < HAT_LANES; l++) {
-            num_sq += num_lane[l];
-            den_sq += den_lane[l];
-        }
-        sums[0] += num_sq;
-        sums[1] += den_sq;
+        for (ptrdiff_t j = full; j < len; j++)
+            hat_chunk(alpha, 1, len, phi_i, phi_abs, g + j, re + j, im + j, mag + j,
+                      num_lane + (j - full), den_lane + (j - full));
+        sums[0] += lane_total(num_lane);
+        sums[1] += lane_total(den_lane);
     }
 }
 
@@ -245,9 +313,10 @@ static ALWAYS_INLINE void hat_rows(ptrdiff_t alpha, ptrdiff_t n, ptrdiff_t k, co
  * cols is 3 alpha n doubles of work space: psi's lines k..n-1 are copied
  * there column by column, split into real parts, imaginary parts and
  * magnitudes, so that consecutive columns are consecutive doubles. */
-static HAT_CLONES double hat_ratio_step(ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k,
-                                        const cplx *phi, const cplx *psi,
-                                        const double *inv_gap, double *cols, double *phi_abs)
+static KERNEL_CLONES double hat_ratio_step(ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k,
+                                           const cplx *phi, const cplx *psi,
+                                           const double *inv_gap, double *cols,
+                                           double *phi_abs)
 {
     ptrdiff_t len = n - k;
     for (ptrdiff_t j = 0; j < len; j++)
@@ -272,13 +341,9 @@ static HAT_CLONES double hat_ratio_step(ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t 
  * line, row j of L or column j of U, and row or column j of inv_gap. */
 typedef struct {
     cplx *node, *gen;      /* t or s; phi or psi^T, alpha entries a line */
-    cplx *line, *num;      /* step-k column or row of the reduced matrix and
-                            * the numerators of its entries */
+    cplx *line;            /* step-k column or row of the reduced matrix */
     double *mag, *gen_abs; /* |line| and |gen_k|, entrywise */
     ptrdiff_t *idx;        /* pidx or cidx */
-    int rows;              /* 1 on the rows: the gap is t_j - s_k rather than
-                            * t_k - s_j, and the factor is L, whose entries
-                            * line_j / u_kk are gathered in the panel */
     cplx *fac, *panel;     /* L or U; the L panel, NULL for U */
     ptrdiff_t lead, step;  /* line j of fac and of inv_gap starts at j lead,
                             * its entries step apart */
@@ -287,44 +352,172 @@ typedef struct {
     double sq;             /* running ||L||_F^2 - n or ||U||_F^2 */
 } side;
 
-/* t - s between node j of side a and node k of the other side b */
-static inline cplx gap(const side *a, ptrdiff_t j, const side *b, ptrdiff_t k)
+/* Everything a step reads or writes besides the two sides. */
+typedef struct {
+    ptrdiff_t n, alpha;
+    int strategy;
+    double eps, v_floor, cand_max;
+    double *inv_gap, *hat_ratio; /* both NULL without hat ratios */
+    ptrdiff_t *piv_index;
+    unsigned char *piv_is_col;
+    double *piv_mag;
+    cplx *v_kk;
+    side rows, cols;
+} elimination;
+
+/* t - s between node j of a side and node_k of the other side: t_j - s_k on
+ * the rows, t_k - s_j on the columns, by operand order, so that no negation
+ * can flip the sign of a zero */
+static ALWAYS_INLINE cplx gap(int rows, const cplx *node, ptrdiff_t j, cplx node_k)
 {
-    return a->rows ? csub(a->node[j], b->node[k]) : csub(b->node[k], a->node[j]);
+    return rows ? csub(node[j], node_k) : csub(node_k, node[j]);
 }
 
-/* Step-k line of side a into a->line[from..n-1]: entry j is gen_j gen'_k
- * over its gap, gen' being the other side b's generators, and its numerator
- * goes to a->num[j].  The diagonal entry belongs to both lines, so from > k
- * copies it from b. */
-static void recover(side *a, const side *b, ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k,
-                    ptrdiff_t from)
+/* Step-k line of a side into line[k..n-1]: entry j is gen_j gen'_k over its
+ * gap, gen'_k = other_k being line k of the other side's generators.  Entry
+ * k has the same bits from either side, since a complex product commutes
+ * exactly and the diagonal's gap is t_k - s_k on both. */
+static ALWAYS_INLINE void recover(ptrdiff_t alpha, int rows, ptrdiff_t n, ptrdiff_t k,
+                                  const cplx *restrict gen, const cplx *restrict other_k,
+                                  const cplx *restrict node, cplx node_k, cplx *restrict line)
 {
-    if (from > k) {
-        a->line[k] = b->line[k];
-        a->num[k] = b->num[k];
-    }
-    for (ptrdiff_t j = from; j < n; j++) {
-        a->num[j] = dot(a->gen + j * alpha, b->gen + k * alpha, alpha);
-        a->line[j] = cdiv(a->num[j], gap(a, j, b, k));
-    }
+    NO_OVERLAP
+    for (ptrdiff_t j = k; j < n; j++)
+        line[j] = cdiv(dot(gen + j * alpha, other_k, alpha), gap(rows, node, j, node_k));
 }
 
-/* |line| into a->mag[from..n-1]; returns the first largest of a->mag[k..n-1] */
-static ptrdiff_t largest(side *a, ptrdiff_t n, ptrdiff_t k, ptrdiff_t from)
+/* |line| into mag[k..n-1]; returns the first largest of them, which is k
+ * when mag[k] is NaN */
+static KERNEL_CLONES ptrdiff_t largest(ptrdiff_t n, ptrdiff_t k, const cplx *restrict line,
+                                       double *restrict mag)
 {
-    for (ptrdiff_t j = from; j < n; j++)
-        a->mag[j] = cmag(a->line[j]);
+    long off = 0;
+    for (ptrdiff_t j = k; j < n; j++)
+        mag[j] = quick_mag(line[j], &off);
+    if (off)
+        for (ptrdiff_t j = k; j < n; j++)
+            mag[j] = cmag(line[j]);
+    /* per lane, the largest entry past k and its first index: a NaN never
+     * wins the strict >, and every magnitude beats -1 */
+    double top[HAT_LANES];
+    ptrdiff_t at[HAT_LANES];
+    for (int l = 0; l < HAT_LANES; l++) {
+        top[l] = -1.0;
+        at[l] = n;
+    }
+    for (ptrdiff_t j = k + 1; j < n; j += HAT_LANES) {
+        ptrdiff_t cnt = n - j < HAT_LANES ? n - j : HAT_LANES;
+        LANE_LOOP
+        for (ptrdiff_t l = 0; l < cnt; l++) {
+            double x = mag[j + l];
+            int up = x > top[l];
+            top[l] = up ? x : top[l];
+            at[l] = up ? j + l : at[l];
+        }
+    }
     ptrdiff_t best = k;
-    for (ptrdiff_t j = k + 1; j < n; j++)
-        if (a->mag[j] > a->mag[best])
-            best = j;
+    for (int l = 0; l < HAT_LANES; l++)
+        if (top[l] > mag[best] || (top[l] == mag[best] && at[l] < best))
+            best = at[l];
     return best;
 }
 
+/* Entries j..j+cnt-1 of a side past the pivot u_kk, cnt <= HAT_LANES, into
+ * the lanes (see the top of the file): the squared hatted entry to hat[l]
+ * and the squared new entry of the factor to fac[l].  The hatted entry is
+ * |gen_j||gen'_k| / |gap|, over |u_kk| = scale as well on the rows: the V
+ * denominator cancels, so a fully cancelled entry never reaches the hatted
+ * norms.  The factor's entry is line_j / u_kk on the rows (L) and line_j on
+ * the columns (U).  With exact, magnitudes are cmag's; otherwise quick_mag's,
+ * with its flag in *off. */
+static ALWAYS_INLINE void sum_chunk(ptrdiff_t alpha, int rows, int exact, ptrdiff_t cnt,
+                                    ptrdiff_t j, const cplx *restrict gen,
+                                    const double *restrict other_abs,
+                                    const cplx *restrict node, cplx node_k,
+                                    const cplx *restrict line, divisor by, double scale,
+                                    double *restrict hat, double *restrict fac, long *off)
+{
+    long bad = 0;
+    LANE_LOOP
+    for (ptrdiff_t l = 0; l < cnt; l++) {
+        const cplx *gen_j = gen + (j + l) * alpha;
+        cplx g = gap(rows, node, j + l, node_k), e = line[j + l];
+        double acc = (exact ? cmag(gen_j[0]) : quick_mag(gen_j[0], &bad)) * other_abs[0];
+        for (ptrdiff_t m = 1; m < alpha; m++)
+            acc += (exact ? cmag(gen_j[m]) : quick_mag(gen_j[m], &bad)) * other_abs[m];
+        double d = exact ? cmag(g) : quick_mag(g, &bad);
+        double h = acc / (rows ? d * scale : d);
+        hat[l] += h * h;
+        if (rows)
+            e = divide(e, by);
+        fac[l] += e.re * e.re + e.im * e.im;
+    }
+    *off |= bad;
+}
+
+/* sum_chunk with cmag's magnitudes over entries from..n-1, chunk by chunk:
+ * the tail of fewer than HAT_LANES entries after the vectorised chunks, or
+ * every entry of a step where quick_mag was off.  It is not inlined, so the
+ * copies of the step share one scalar copy of it. */
+static void exact_sums(ptrdiff_t alpha, int rows, ptrdiff_t n, ptrdiff_t from,
+                       const cplx *gen, const double *other_abs, const cplx *node,
+                       cplx node_k, const cplx *line, divisor by, double scale, double *hat,
+                       double *fac)
+{
+    long off = 0;
+    for (ptrdiff_t j = from; j < n; j += HAT_LANES)
+        sum_chunk(alpha, rows, 1, n - j < HAT_LANES ? n - j : HAT_LANES, j, gen, other_abs,
+                  node, node_k, line, by, scale, hat, fac, &off);
+}
+
+/* Hatted norm, factor norm and Schur update of side a past the pivot u_kk,
+ * b being the other side; rows says which side a is.  hat_sq arrives
+ * holding the diagonal's squared hatted entry.  The sums read the
+ * generators before the update
+ *   gen_j <- gen_j - (line_j / u_kk) gen_k,
+ * which also gathers L's new column in the panel. */
+static ALWAYS_INLINE void update(ptrdiff_t alpha, int rows, side *a, const side *b,
+                                 ptrdiff_t n, ptrdiff_t k, cplx u_kk, double hat_sq)
+{
+    const cplx *restrict gen_k = a->gen + k * alpha;
+    cplx *restrict gen = a->gen, *restrict panel = a->panel;
+    const cplx *restrict line = a->line;
+    ptrdiff_t lead = a->panel_lead, col = a->panel_len;
+    divisor by = prepare(u_kk);
+    double scale = rows ? cmag(u_kk) : 1.0;
+    double hat[HAT_LANES] = {0.0}, fac[HAT_LANES] = {0.0};
+    long off = 0;
+    ptrdiff_t j = k + 1;
+    for (; n - j >= HAT_LANES; j += HAT_LANES)
+        sum_chunk(alpha, rows, 0, HAT_LANES, j, gen, b->gen_abs, a->node, b->node[k], line, by,
+                  scale, hat, fac, &off);
+    if (off) {
+        memset(hat, 0, sizeof hat);
+        memset(fac, 0, sizeof fac);
+        j = k + 1;
+    }
+    exact_sums(alpha, rows, n, j, gen, b->gen_abs, a->node, b->node[k], line, by, scale, hat,
+               fac);
+    a->hat[k] = sqrt(hat_sq + lane_total(hat));
+    a->sq += lane_total(fac);
+
+    NO_OVERLAP
+    for (j = k + 1; j < n; j++) {
+        cplx *gen_j = gen + j * alpha;
+        cplx w = divide(line[j], by);
+        if (rows)
+            panel[j * lead + col] = w;
+        for (ptrdiff_t m = 0; m < alpha; m++) {
+            cplx d = cmul(w, gen_k[m]);
+            gen_j[m].re -= d.re;
+            gen_j[m].im -= d.im;
+        }
+    }
+}
+
 /* Swap lines k and p of side a: node, permutation entry, generator row,
- * recovered entry and numerator, the finished part of the factor and, when
- * inv_gap is not NULL, the reciprocal gaps. */
+ * recovered entry, the finished part of the factor and, when inv_gap is not
+ * NULL, the reciprocal gaps. */
 static void interchange(side *a, ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k, ptrdiff_t p,
                         double *inv_gap)
 {
@@ -333,7 +526,6 @@ static void interchange(side *a, ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k, ptrd
     a->idx[p] = idx;
     swap_c(a->node + k, a->node + p);
     swap_c(a->line + k, a->line + p);
-    swap_c(a->num + k, a->num + p);
     swap_lines(a->gen, k, p, alpha, 1, alpha);
     swap_lines(a->fac, k, p, a->lead, a->step, a->fac_len);
     swap_lines(a->panel, k, p, a->panel_lead, 1, a->panel_len);
@@ -345,39 +537,92 @@ static void interchange(side *a, ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k, ptrd
     }
 }
 
-/* Hatted norm and Schur update of side a past the pivot u_kk, b being the
- * other side.  Each generator is read just before
- *   gen_j <- gen_j - (line_j / u_kk) gen_k.
- * The hatted entry |v_j||factor entry j| is |gen_j||gen'_k| / |gap|, for L
- * over |u_kk| as well: the V denominator cancels, so a fully cancelled entry
- * never reaches the hatted norms.  hat_sq arrives holding the diagonal's
- * squared hatted entry. */
-static void update(side *a, const side *b, ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k,
-                   cplx u_kk, double hat_sq)
+/* Step k of the elimination, the hat ratio first when asked; returns
+ * nonzero, with e->cand_max set, when the pivot is too small. */
+static ALWAYS_INLINE int step(ptrdiff_t alpha, elimination *e, ptrdiff_t k)
 {
-    divisor by_pivot = prepare(u_kk);
-    double scale = a->rows ? cmag(u_kk) : 1.0, sq = a->sq;
-    const cplx *gen_k = a->gen + k * alpha;
-    for (ptrdiff_t j = k + 1; j < n; j++) {
-        cplx *gen_j = a->gen + j * alpha;
-        double h = abs_dot(gen_j, b->gen_abs, alpha) / (cmag(gap(a, j, b, k)) * scale);
-        hat_sq += h * h;
-        cplx w = divide(a->line[j], by_pivot), e = a->line[j];
-        if (a->rows)
-            a->panel[j * a->panel_lead + a->panel_len] = e = w;
-        sq += e.re * e.re + e.im * e.im;
-        for (ptrdiff_t m = 0; m < alpha; m++) {
-            cplx d = cmul(w, gen_k[m]);
-            gen_j[m].re -= d.re;
-            gen_j[m].im -= d.im;
+    ptrdiff_t n = e->n;
+    side *rows = &e->rows, *cols = &e->cols;
+    const cplx *phi_k = rows->gen + k * alpha, *psi_k = cols->gen + k * alpha;
+    if (e->hat_ratio)
+        e->hat_ratio[k] = hat_ratio_step(n, alpha, k, rows->gen, cols->gen, e->inv_gap,
+                                         e->inv_gap + n * n, rows->gen_abs);
+
+    /* The first round recovers the candidates: the column and, under
+     * row1col1, the row.  The second recovers the line that did not move
+     * from the one that did, unless it is already current (row1col1 kept
+     * every line in place).  One call a side keeps one copy of each loop. */
+    side *moved = rows;
+    ptrdiff_t p = k;
+    double cand_max = 0.0;
+    int want_rows = 1, want_cols = e->strategy == PIVOT_ROW1_COL1;
+    for (int round = 0; round < 2; round++) {
+        if (want_rows)
+            recover(alpha, 1, n, k, rows->gen, psi_k, rows->node, cols->node[k], rows->line);
+        if (want_cols)
+            recover(alpha, 0, n, k, cols->gen, phi_k, cols->node, rows->node[k], cols->line);
+        if (round == 1)
+            break;
+        ptrdiff_t q = largest(n, k, rows->line, rows->mag);
+        cand_max = rows->mag[q];
+        if (want_cols) {
+            /* a row-versus-column tie stays on the row */
+            ptrdiff_t q_row = largest(n, k, cols->line, cols->mag);
+            if (cols->mag[q_row] > cand_max) {
+                cand_max = cols->mag[q_row];
+                q = q_row;
+                moved = cols;
+            }
         }
+        if (e->strategy != PIVOT_NONE)
+            p = q;
+        if (p != k)
+            interchange(moved, n, alpha, k, p, e->inv_gap);
+        want_rows = moved == cols;
+        want_cols = moved == rows && (p != k || e->strategy != PIVOT_ROW1_COL1);
     }
-    a->hat[k] = sqrt(hat_sq);
-    a->sq = sq;
+    cplx u_kk = moved->line[k];
+    e->piv_index[k] = p;
+    e->piv_is_col[k] = moved == cols;
+    e->piv_mag[k] = cmag(u_kk);
+    if (e->piv_mag[k] <= (double)n * e->eps * cand_max) {
+        e->cand_max = cand_max;
+        return 1;
+    }
+
+    /* v_kk and the hatted norms at the pivoted step-k generators.  The
+     * diagonal's hatted entry is |v_kk| in L, whose diagonal is one, and
+     * |phi_k||psi_k| / |t_k - s_k| in U.  phi_k psi_k is the numerator of
+     * u_kk, formed with the bits recover gave it. */
+    for (ptrdiff_t m = 0; m < alpha; m++) {
+        rows->gen_abs[m] = cmag(phi_k[m]);
+        cols->gen_abs[m] = cmag(psi_k[m]);
+    }
+    cplx den = dot(phi_k, psi_k, alpha);
+    double num = abs_dot(phi_k, cols->gen_abs, alpha);
+    e->v_kk[k] = cmag(den) < e->v_floor ? (cplx){INFINITY, 0.0} : cdiv((cplx){num, 0.0}, den);
+    double h_l = cmag(e->v_kk[k]), h_u = num / cmag(csub(rows->node[k], cols->node[k]));
+    cols->sq += u_kk.re * u_kk.re + u_kk.im * u_kk.im;
+    update(alpha, 1, rows, cols, n, k, u_kk, h_l * h_l);
+    update(alpha, 0, cols, rows, n, k, u_kk, h_u * h_u);
+    return 0;
+}
+
+/* alpha = 2, the displacement rank of every Toeplitz input, has the one
+ * constant-alpha copy of the step, and the only one with an AVX2 clone */
+static KERNEL_CLONES int step_rank2(elimination *e, ptrdiff_t k)
+{
+    return step(2, e, k);
+}
+
+static int step_any_rank(elimination *e, ptrdiff_t k)
+{
+    return step(e->alpha, e, k);
 }
 
 /* Factor the Cauchy-type matrix with nodes t, s and generators phi (n x
  * alpha) and psi (stored transposed, n x alpha: row j is psi's column j).
+ * No t_i may equal an s_j (CauchyNodes checks this).
  *
  * phi, psi, t, s, pidx and cidx are overwritten as elimination permutes and
  * updates them.  L must hold the identity and U zeros on entry; both are n x
@@ -385,11 +630,11 @@ static void update(side *a, const side *b, ptrdiff_t n, ptrdiff_t alpha, ptrdiff
  * (+inf where |phi_k psi_k| is below v_floor) and the hatted L column / U
  * row norms; hat_ratio[k] is written only when hat is nonzero, in which
  * case inv_gap is work space of n^2 + 3 alpha n doubles: the reciprocal
- * gaps, then hat_ratio_step's columns.  panel holds n x panel_width complex values: column k of L is
- * gathered there, row by row, and copied into L every panel_width steps.
- * work_c holds 3n complex values, work_r 2n + 2 alpha doubles.
- * sums receives ||L||_F^2 - n and ||U||_F^2 and, when a step fails, the
- * largest candidate magnitude of that step.
+ * gaps, then hat_ratio_step's columns.  panel holds n x panel_width complex
+ * values: column k of L is gathered there, row by row, and copied into L
+ * every panel_width steps.  work_c holds n complex values, work_r 2n + 2
+ * alpha doubles.  sums receives ||L||_F^2 - n and ||U||_F^2 and, when a
+ * step fails, the largest candidate magnitude of that step.
  *
  * Returns -1, or the step whose pivot magnitude is at most n eps times the
  * largest candidate examined there (the matrix is singular to working
@@ -403,13 +648,16 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
                         double *inv_gap, cplx *panel, cplx *work_c, double *work_r,
                         double *sums)
 {
-    side rows = {.node = t, .gen = phi, .line = work_c, .num = work_c + n, .mag = work_r,
-                 .gen_abs = work_r + 2 * n, .idx = pidx, .rows = 1, .fac = L,
-                 .panel = panel, .lead = n, .step = 1, .panel_lead = panel_width,
-                 .hat = hat_l};
-    side cols = {.node = s, .gen = psi, .num = work_c + 2 * n, .mag = work_r + n,
-                 .gen_abs = rows.gen_abs + alpha, .idx = cidx, .fac = U, .lead = 1,
-                 .step = n, .hat = hat_u};
+    elimination e = {
+        .n = n, .alpha = alpha, .strategy = strategy, .eps = eps, .v_floor = v_floor,
+        .inv_gap = hat ? inv_gap : NULL, .hat_ratio = hat ? hat_ratio : NULL,
+        .piv_index = piv_index, .piv_is_col = piv_is_col, .piv_mag = piv_mag, .v_kk = v_kk,
+        .rows = {.node = t, .gen = phi, .line = work_c, .mag = work_r,
+                 .gen_abs = work_r + 2 * n, .idx = pidx, .fac = L, .panel = panel,
+                 .lead = n, .step = 1, .panel_lead = panel_width, .hat = hat_l},
+        .cols = {.node = s, .gen = psi, .mag = work_r + n, .gen_abs = work_r + 2 * n + alpha,
+                 .idx = cidx, .fac = U, .lead = 1, .step = n, .hat = hat_u},
+    };
 
     if (hat)
         for (ptrdiff_t i = 0; i < n; i++)
@@ -419,68 +667,22 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
     for (ptrdiff_t k = 0; k < n; k++) {
         /* columns k0..k of L are held in the panel until it is flushed */
         ptrdiff_t k0 = k - k % panel_width, c = k - k0;
-        rows.fac_len = k0;
-        rows.panel_len = c;
-        cols.fac_len = k;
-        cols.line = U + k * n;
-        if (hat)
-            hat_ratio[k] = hat_ratio_step(n, alpha, k, phi, psi, inv_gap, inv_gap + n * n,
-                                          rows.gen_abs);
-
-        recover(&rows, &cols, n, alpha, k, k);
-        ptrdiff_t q = largest(&rows, n, k, k);
-        double cand_max = rows.mag[q];
-        side *moved = &rows, *other = &cols;
-        if (strategy == PIVOT_ROW1_COL1) {
-            /* the diagonal entry belongs to both candidate sets; reusing the
-             * column's value keeps a row-versus-column tie on the row */
-            recover(&cols, &rows, n, alpha, k, k + 1);
-            cols.mag[k] = rows.mag[k];
-            ptrdiff_t q_row = largest(&cols, n, k, k + 1);
-            if (cols.mag[q_row] > cand_max) {
-                cand_max = cols.mag[q_row];
-                q = q_row;
-                moved = &cols;
-                other = &rows;
-            }
-        }
-        ptrdiff_t p = strategy == PIVOT_NONE ? k : q;
-        if (p != k)
-            interchange(moved, n, alpha, k, p, hat ? inv_gap : NULL);
-        /* the side that did not move is recovered from the one that did */
-        recover(other, moved, n, alpha, k, k + 1);
-        cplx u_kk = moved->line[k];
-        piv_index[k] = p;
-        piv_is_col[k] = moved == &cols;
-        piv_mag[k] = cmag(u_kk);
-        if (piv_mag[k] <= (double)n * eps * cand_max) {
-            sums[2] = cand_max;
+        e.rows.fac_len = k0;
+        e.rows.panel_len = c;
+        e.cols.fac_len = k;
+        e.cols.line = U + k * n;
+        if (alpha == 2 ? step_rank2(&e, k) : step_any_rank(&e, k)) {
+            sums[2] = e.cand_max;
             return k;
         }
-
-        /* v_kk and the hatted norms at the pivoted step-k generators.  The
-         * diagonal's hatted entry is |v_kk| in L, whose diagonal is one, and
-         * |phi_k||psi_k| / |t_k - s_k| in U. */
-        for (ptrdiff_t m = 0; m < alpha; m++) {
-            rows.gen_abs[m] = cmag(phi[k * alpha + m]);
-            cols.gen_abs[m] = cmag(psi[k * alpha + m]);
-        }
-        double num = abs_dot(phi + k * alpha, cols.gen_abs, alpha);
-        v_kk[k] = cmag(rows.num[k]) < v_floor ? (cplx){INFINITY, 0.0}
-                                               : cdiv((cplx){num, 0.0}, rows.num[k]);
-        double h_l = cmag(v_kk[k]), h_u = num / cmag(csub(t[k], s[k]));
-        cols.sq += u_kk.re * u_kk.re + u_kk.im * u_kk.im;
-        update(&rows, &cols, n, alpha, k, u_kk, h_l * h_l);
-        update(&cols, &rows, n, alpha, k, u_kk, h_u * h_u);
-
         if (c == panel_width - 1 || k == n - 1)
             for (ptrdiff_t j = k0 + 1; j < n; j++) {
                 ptrdiff_t width = j - k0 < c + 1 ? j - k0 : c + 1;
                 memcpy(L + j * n + k0, panel + j * panel_width, (size_t)width * sizeof(cplx));
             }
     }
-    sums[0] = rows.sq;
-    sums[1] = cols.sq;
+    sums[0] = e.rows.sq;
+    sums[1] = e.cols.sq;
     return -1;
 }
 

@@ -141,16 +141,28 @@ class GKOFactorization:
 _KERNEL_SOURCE = Path(__file__).with_name("_gko_kernel.c")
 # no -ffast-math, -march=native or -fcx-limited-range: each changes rounding
 # or overflow, and a library cached for one machine must run on its twin.
-# The AVX2 copy of the hat ratio (target_clones in the source) is safe where
-# -march=native is not: the dynamic loader picks it only on a CPU with AVX2,
-# the base-ISA copy runs everywhere else, and both sum in the order the
-# source fixes, without FMA, so they give the same bits
-_KERNEL_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
-# the kernel holds this many columns of L in an n-row panel and copies them
-# into L row by row when the panel is full: written straight into L, each
-# entry of a column would land on its own page.  Widths 8, 16 and 32 time
-# the same at n = 1024 and 2048; 8 keeps the panel to 128 n bytes
-_L_PANEL = 8
+# -fno-math-errno changes no value: sqrt no longer sets errno, which nothing
+# reads, and without it GCC keeps every loop that takes a square root
+# scalar.  -fno-trapping-math is not needed: the kernel selects its operands
+# before it computes, so GCC if-converts the quotients without it.  The AVX2
+# copies of the kernel (target_clones in the source) are safe where
+# -march=native is not: the dynamic loader picks them only on a CPU with
+# AVX2, the base-ISA copies run everywhere else, and both compute in the
+# order the source fixes, without FMA, so they give the same bits
+_KERNEL_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
+# the kernel holds this many columns of L in an n-row panel (16 n _L_PANEL
+# bytes) and copies them into L row by row when the panel is full: written
+# straight into L, each entry of a column would land on its own page, and
+# each flush touches one page per row of L.  With the vectorised step the
+# flush is a quarter of a factorization at width 8.  gko_factor on
+# random_toeplitz(n, seed=n), partial, CPU-time medians of 9-15 alternating
+# calls on a 2-vCPU x86-64 VM: widths 8, 16, 32 took 120-127, 108-114,
+# 105-107 ms at n = 2048 and 24.5, 22.2, 20.7 ms at n = 1024, with
+# bit-identical L.  Width 32 won every toeplitz-large benchmark pair, 4
+# against each other width: p50 went from 0.137 s at width 8 to 0.127 s,
+# and from 0.124 s at width 16 to 0.111 s; peak_mb from 135.1 and 135.4 MB
+# to 135.9 MB
+_L_PANEL = 32
 _STRATEGY_CODES = {
     PivotStrategy.NONE: 0,
     PivotStrategy.PARTIAL_ROW: 1,
@@ -245,6 +257,11 @@ def gko_factor(
     """Factor a Cauchy-type matrix given by generators as P^T L U P'^T.
 
     Every elimination step runs in one compiled loop (``_gko_kernel.c``).
+    Besides L and U (32 n^2 bytes) and copies of the generators and nodes,
+    the loop works in an n-row panel of ``_L_PANEL`` columns of L, 16 n
+    ``_L_PANEL`` bytes (1 MB at n = 2048), and 32 n + 16 alpha bytes: one
+    recovered column, the magnitudes of the recovered column and row, and
+    those of the pivot's generator rows.
 
     Parameters
     ----------
@@ -307,7 +324,7 @@ def gko_factor(
     # the reciprocal node gaps, then the hat ratio's copy of psi's columns
     hat_work = np.empty(n * n + 3 * alpha * n if hat_ratios else 0)
     panel = np.empty(n * _L_PANEL, dtype=complex)
-    work_c = np.empty(3 * n, dtype=complex)
+    work_c = np.empty(n, dtype=complex)
     work_r = np.empty(2 * n + 2 * alpha)
     sums = np.zeros(3)
     arrays = (

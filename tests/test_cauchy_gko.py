@@ -716,6 +716,95 @@ def test_stored_norms_match_the_factors():
     assert row_swaps > 0 and col_swaps > 0
 
 
+def test_step_zero_row_is_numpys_complex_quotient_bit_for_bit():
+    # under "none", U's row 0 is the recovered step-0 row, psi_j phi_0 over
+    # t_0 - s_j.  The gaps cover real- and imaginary-major divisors,
+    # |re| = |im| ties and zero parts of either sign, and so do the
+    # numerators, also over the gaps with a zero part.
+    gaps = np.array([
+        2 + 1j, 1 + 2j, -3 + 0.5j, 0.25 - 4j,
+        1 + 1j, -2 + 2j, 0.5 - 0.5j, -1.5 - 1.5j,
+        complex(0.0, 1.5), complex(-0.0, -2.0), complex(3.0, 0.0), complex(-1.0, -0.0),
+        complex(0.0, -0.75), complex(2.5, -0.0), complex(-0.0, 0.5),
+    ])
+    n = gaps.size
+    rng = np.random.default_rng(5)
+    psi = rng.uniform(-2.0, 2.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+    # numerators (+0, -1.25), (+0, -0.5), (+0, 1.25) and (+0, 2) over the
+    # gaps with a zero real part give quotients with a zero imaginary part
+    # whose sign depends on every operand's
+    psi[[1, 5, 8, 9, 10, 11, 12, 13, 14]] = [
+        complex(0.0, 1.25), complex(-0.0, 0.5), complex(-0.0, -1.25), complex(0.0, -0.5),
+        complex(-2.0, 0.0), complex(-2.0, -0.0), complex(0.0, 1.25), complex(0.75, -0.0),
+        complex(0.0, 2.0),
+    ]
+    phi = np.concatenate([[complex(1.0, 0.0)], rng.uniform(1.0, 2.0, n - 1)])
+    # (-0) - (-g) is g for every part g, zeros of either sign included
+    t = np.concatenate([[complex(-0.0, -0.0)], 100.0 + np.arange(1, n)])
+    gen = ss.GeneratorPair(phi=phi[:, None], psi=psi[None, :])
+    nodes = ss.CauchyNodes(t=t, s=-gaps)
+    assert (nodes.t[0] - nodes.s).tobytes() == gaps.tobytes()
+    f = ss.gko_factor(gen, nodes, "none", hat_ratios=False)
+    # the numerator psi_j phi_0 as the kernel forms it, from real products
+    q = phi[0]
+    num = np.empty(n, dtype=complex)
+    num.real = psi.real * q.real - psi.imag * q.imag
+    num.imag = psi.real * q.imag + psi.imag * q.real
+    assert f.U[0].tobytes() == (num / gaps).tobytes()
+
+
+@pytest.mark.parametrize("exponent", [-600, 500])
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+def test_generators_scaled_past_the_quick_magnitude_range_keep_the_factors(strategy, exponent):
+    # scaled by 2^-600 (phi only) the squares of the recovered entries
+    # underflow; scaled by 2^500 (phi and psi) they overflow.  Either way the
+    # magnitudes come from hypot, so the pivots, L, v_kk and the hatted L
+    # norms, which are ratios, are those of the unscaled generators, and U and
+    # the pivot magnitudes are scaled by the same power of two exactly.
+    def ldexp(z, e):
+        z = np.asarray(z, dtype=complex)
+        out = np.empty_like(z)
+        out.real, out.imag = np.ldexp(z.real, e), np.ldexp(z.imag, e)
+        return out
+
+    gen, nodes = ss.random_cauchy_type(37, 2, seed=11)
+    phi_exp, psi_exp = (exponent, 0) if exponent < 0 else (exponent, exponent)
+    scaled = ss.GeneratorPair(phi=ldexp(gen.phi, phi_exp), psi=ldexp(gen.psi, psi_exp))
+    f = ss.gko_factor(gen, nodes, strategy, hat_ratios=False)
+    g = ss.gko_factor(scaled, nodes, strategy, hat_ratios=False)
+    assert np.array_equal(g.trace.pivot_index, f.trace.pivot_index)
+    assert np.array_equal(g.trace.pivot_is_col, f.trace.pivot_is_col)
+    assert g.L.tobytes() == f.L.tobytes()
+    assert g.U.tobytes() == ldexp(f.U, phi_exp + psi_exp).tobytes()
+    assert g.trace.v_kk.tobytes() == f.trace.v_kk.tobytes()
+    assert g.trace.hat_l_col.tobytes() == f.trace.hat_l_col.tobytes()
+    scaled_mag = np.ldexp(f.trace.pivot_magnitude, phi_exp + psi_exp)
+    assert g.trace.pivot_magnitude.tobytes() == scaled_mag.tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17])
+@pytest.mark.parametrize("strategy", ["partial", "row1col1"])
+def test_equal_candidates_in_different_lanes_pivot_on_the_smallest_index(n, strategy):
+    # step 0 of the ones Cauchy matrix 1 / (t_i - s_j): the largest column
+    # entries, |1 / 0.5| = 2 exactly, sit at rows 3 and n - 1 and, for
+    # n > 12, at 9, in an earlier lane than row 3, and 11, in the same lane
+    # (entry j goes to lane (j - 1) mod 8).  The row holds entries of the
+    # same magnitude at the same columns, so row1col1 sees a
+    # row-versus-column tie as well.  Either way the pivot is row 3.
+    ties = sorted({3, n - 1} | ({9, 11} if n > 12 else set()))
+    near = [0.5, -0.5j, -0.5, 0.5j]
+    t = 10.0 + np.arange(n, dtype=complex)
+    s = -10.0 - np.arange(n, dtype=complex)
+    t[0], s[0] = 3.0, 0.0
+    for i, g in zip(ties, near):
+        t[i] = g  # t_i - s_0 = g
+        s[i] = 3.0 - g  # t_0 - s_i = g
+    gen, nodes = _ones_cauchy(t, s)
+    f = ss.gko_factor(gen, nodes, strategy, hat_ratios=False)
+    assert f.trace.pivot_index[0] == 3 and not f.trace.pivot_is_col[0]
+    assert f.trace.pivot_magnitude[0] == 2.0
+
+
 @pytest.mark.parametrize("upper", [False, True], ids=["unit-lower", "upper"])
 @pytest.mark.parametrize("m", [1, 3])
 def test_block_solve_substitutes_through_one_diagonal_block(upper, m):
@@ -751,24 +840,35 @@ def test_kernel_loader_builds_into_an_empty_cache(tmp_path, monkeypatch):
     assert ss.solve_with_factors(got, b).tobytes() == x_expected.tobytes()
 
 
-def test_kernel_built_for_the_base_isa_gives_the_same_hat_ratios(tmp_path, monkeypatch):
-    # -DHAT_CLONES= compiles hat_ratio_step once, for the base instruction
-    # set; where the default build dispatches to an AVX2 copy, this runs the
-    # other copy's code on the same inputs
+def test_kernel_built_for_the_base_isa_gives_the_same_bits(tmp_path, monkeypatch):
+    # -DKERNEL_CLONES= compiles the step and the hat ratio once, for the base
+    # instruction set; where the default build dispatches to AVX2 copies,
+    # this runs the other copies' code on the same inputs.  n = 9 leaves one
+    # entry past a chunk of lanes at step 0; n = 300 runs without hat ratios.
     eliminate, _ = cauchy_gko._load_kernel(
-        cache_dir=tmp_path, flags=cauchy_gko._KERNEL_FLAGS + ("-DHAT_CLONES=",)
+        cache_dir=tmp_path, flags=cauchy_gko._KERNEL_FLAGS + ("-DKERNEL_CLONES=",)
     )
     adversarial = ss.to_cauchy_generators(
         ss.toeplitz_generators(ss.adversarial_toeplitz(ss.AdversarialSpec(n=64, delta=1e-6)))
     )
     inputs = [adversarial, ss.cancellation_cauchy(61, 1e-6, 3)]
     inputs += [ss.random_cauchy_type(45, alpha, seed=alpha) for alpha in (1, 3, 4)]
-    expected = [ss.gko_factor(gen, nodes, "row1col1", hat_ratios=True) for gen, nodes in inputs]
+    inputs += [ss.random_cauchy_type(9, 2, seed=9)]
+    inputs += [ss.to_cauchy_generators(ss.toeplitz_generators(ss.random_toeplitz(300, seed=300)))]
+    strategies = ("none", "partial", "row1col1")
+    cases = [(gen, nodes, strategy) for gen, nodes in inputs for strategy in strategies]
+    expected = [ss.gko_factor(gen, nodes, strategy) for gen, nodes, strategy in cases]
     monkeypatch.setattr(cauchy_gko, "_kernel", eliminate)
-    for (gen, nodes), f in zip(inputs, expected):
-        got = ss.gko_factor(gen, nodes, "row1col1", hat_ratios=True)
-        assert got.trace.hat_ratio.tobytes() == f.trace.hat_ratio.tobytes()
-        assert got.L.tobytes() == f.L.tobytes() and got.U.tobytes() == f.U.tobytes()
+
+    def bits(x):
+        return np.asarray(x).tobytes()
+
+    for (gen, nodes, strategy), f in zip(cases, expected):
+        got = ss.gko_factor(gen, nodes, strategy)
+        for name in ("L", "U", "norm_L", "norm_U"):
+            assert bits(getattr(got, name)) == bits(getattr(f, name)), (name, strategy)
+        for name in (fld.name for fld in dataclasses.fields(f.trace)):
+            assert bits(getattr(got.trace, name)) == bits(getattr(f.trace, name)), (name, strategy)
 
 
 def test_kernel_source_is_warning_free_pedantic_c99():
