@@ -11,10 +11,13 @@
 # uncommitted edits included.  Both sides import structsolve once before the
 # first pair, so the compiled kernel is built outside the timed runs.
 #
-# Prints one line per run (side, seed, correct, failed operations and every
-# end-to-end metric), then per metric the median of each side, REV's
-# quartiles, and in how many pairs this checkout was better by the direction
-# BENCHMARK.json gives (ties count for neither side).  Exits 0 when every run
+# Prints one line per run (side, seed, wall seconds, correct, failed
+# operations and every end-to-end metric), then per metric the median of each
+# side, REV's quartiles, and in how many pairs this checkout was better by
+# the direction BENCHMARK.json gives (ties count for neither side), and last
+# each side's median wall seconds.  A run stops on its timed (busy) seconds,
+# so work that a change moves out of the timed window, such as building
+# arrays after each operation, shows in the wall seconds alone.  Exits 0 when every run
 # is correct with no failed operation, 1 otherwise, and 2 on a usage or setup
 # error.  The worktree is removed on exit.
 set -euo pipefail
@@ -57,11 +60,15 @@ for root in "$tmp/tree" "$here"; do
         "$root/src" || exit 2
 done
 
-# run SIDE ROOT SEED: the result line of one run, saved as $tmp/SIDE-SEED.json
+# run SIDE ROOT SEED: the result line of one run, saved as $tmp/SIDE-SEED.json,
+# and its wall seconds as $tmp/SIDE-SEED.wall
 run() {
+    local start
+    start=$(date +%s.%N)
     (cd "$2" && python3 perfbench/run.py --workload "$workload" --seed "$3" \
         --seconds "$seconds" --trace 0 2>"$tmp/$1-$3.err") \
         | tail -n 1 > "$tmp/$1-$3.json" || true
+    echo "$start $(date +%s.%N)" | awk '{ printf "%.3f\n", $2 - $1 }' > "$tmp/$1-$3.wall"
 }
 
 summary() {
@@ -82,13 +89,18 @@ def load(side, seed):
         return None
 
 
+def wall(side, seed):
+    return float(Path(tmp, f"{side}-{seed}.wall").read_text())
+
+
 def line(side, seed):
     res = load(side, seed)
+    head = f"{side:6} seed={seed} wall_s={wall(side, seed):.1f}"
     if res is None:
         err = Path(tmp, f"{side}-{seed}.err").read_text().strip().splitlines()
-        return f"{side:6} seed={seed} no result: {err[-1] if err else 'no output'}"
+        return f"{head} no result: {err[-1] if err else 'no output'}"
     metrics = " ".join(f"{k}={v['value']:.6g}" for k, v in res["metrics"].items())
-    return (f"{side:6} seed={seed} correct={str(res['correct']).lower()} "
+    return (f"{head} correct={str(res['correct']).lower()} "
             f"failed={res['failed']}/{res['attempted']} {metrics}")
 
 
@@ -112,6 +124,9 @@ for name, direction in better.items():
     q = statistics.quantiles(rev, n=4) if len(rev) > 1 else [rev[0]] * 3
     print(f"{name:22} {statistics.median(rev):.6g} -> {statistics.median(new):.6g}"
           f"  rev q1..q3 {q[0]:.6g}..{q[2]:.6g}  better {wins}/{len(pairs)}")
+walls = {side: statistics.median(wall(side, s) for s in seeds) for side in ("rev", "here")}
+print(f"{'wall_s':22} {walls['rev']:.1f} -> {walls['here']:.1f}  (median per run, "
+      f"setup and untimed work included)")
 print("all runs correct with no failed operation" if ok else "SOME RUNS FAILED")
 sys.exit(0 if ok else 1)
 EOF

@@ -13,6 +13,8 @@
  * they can differ from numpy's hypot by an ulp or two.  Argmax scans take
  * the first maximum (the smallest index).
  *
+ * L and U share one n x n array, LU, as in LAPACK's xGETRF: L strictly
+ * below the diagonal, its unit diagonal implied, and U on and above it.
  * Each elimination step describes the two sides of the matrix with one
  * descriptor type, side: the rows (nodes t, generators phi, the recovered
  * column, L, pidx) and the columns (nodes s, psi^T, the recovered row, U,
@@ -51,7 +53,13 @@
  *
  * Besides the factors, a step records only what the growth report reads:
  * the pivot, v_kk, the hatted norms of the new L column and U row and, when
- * asked, the hat ratio.
+ * asked, the hat ratio.  The entries of U and the hatted entries of U and
+ * of the hat ratio scale with the generators, so their squares are summed
+ * on the entries times u_scale, a power of two the caller picks near one
+ * over the largest entry of R's first column and row: the squares then
+ * neither underflow nor overflow where the entries themselves do not.
+ * Scaling by a power of two is exact, so in range the sums are the plain
+ * ones times u_scale^2.
  */
 
 #include <math.h>
@@ -344,19 +352,19 @@ typedef struct {
     cplx *line;            /* step-k column or row of the reduced matrix */
     double *mag, *gen_abs; /* |line| and |gen_k|, entrywise */
     ptrdiff_t *idx;        /* pidx or cidx */
-    cplx *fac, *panel;     /* L or U; the L panel, NULL for U */
+    cplx *fac, *panel;     /* LU; the L panel, NULL for U */
     ptrdiff_t lead, step;  /* line j of fac and of inv_gap starts at j lead,
                             * its entries step apart */
     ptrdiff_t fac_len, panel_lead, panel_len; /* finished entries a line */
     double *hat;           /* per-step hatted norm */
-    double sq;             /* running ||L||_F^2 - n or ||U||_F^2 */
+    double sq;             /* running ||L||_F^2 - n or (u_scale ||U||_F)^2 */
 } side;
 
 /* Everything a step reads or writes besides the two sides. */
 typedef struct {
     ptrdiff_t n, alpha;
     int strategy;
-    double eps, v_floor, cand_max;
+    double eps, v_floor, u_scale, cand_max;
     double *inv_gap, *hat_ratio; /* both NULL without hat ratios */
     ptrdiff_t *piv_index;
     unsigned char *piv_is_col;
@@ -428,8 +436,9 @@ static KERNEL_CLONES ptrdiff_t largest(ptrdiff_t n, ptrdiff_t k, const cplx *res
  * |gen_j||gen'_k| / |gap|, over |u_kk| = scale as well on the rows: the V
  * denominator cancels, so a fully cancelled entry never reaches the hatted
  * norms.  The factor's entry is line_j / u_kk on the rows (L) and line_j on
- * the columns (U).  With exact, magnitudes are cmag's; otherwise quick_mag's,
- * with its flag in *off. */
+ * the columns (U).  On the columns scale is u_scale, and both entries are
+ * multiplied by it.  With exact, magnitudes are cmag's; otherwise
+ * quick_mag's, with its flag in *off. */
 static ALWAYS_INLINE void sum_chunk(ptrdiff_t alpha, int rows, int exact, ptrdiff_t cnt,
                                     ptrdiff_t j, const cplx *restrict gen,
                                     const double *restrict other_abs,
@@ -446,10 +455,9 @@ static ALWAYS_INLINE void sum_chunk(ptrdiff_t alpha, int rows, int exact, ptrdif
         for (ptrdiff_t m = 1; m < alpha; m++)
             acc += (exact ? cmag(gen_j[m]) : quick_mag(gen_j[m], &bad)) * other_abs[m];
         double d = exact ? cmag(g) : quick_mag(g, &bad);
-        double h = acc / (rows ? d * scale : d);
+        double h = rows ? acc / (d * scale) : acc * scale / d;
         hat[l] += h * h;
-        if (rows)
-            e = divide(e, by);
+        e = rows ? divide(e, by) : (cplx){e.re * scale, e.im * scale};
         fac[l] += e.re * e.re + e.im * e.im;
     }
     *off |= bad;
@@ -472,19 +480,20 @@ static void exact_sums(ptrdiff_t alpha, int rows, ptrdiff_t n, ptrdiff_t from,
 
 /* Hatted norm, factor norm and Schur update of side a past the pivot u_kk,
  * b being the other side; rows says which side a is.  hat_sq arrives
- * holding the diagonal's squared hatted entry.  The sums read the
- * generators before the update
+ * holding the diagonal's squared hatted entry, times u_scale^2 on the
+ * columns.  The sums read the generators before the update
  *   gen_j <- gen_j - (line_j / u_kk) gen_k,
  * which also gathers L's new column in the panel. */
 static ALWAYS_INLINE void update(ptrdiff_t alpha, int rows, side *a, const side *b,
-                                 ptrdiff_t n, ptrdiff_t k, cplx u_kk, double hat_sq)
+                                 ptrdiff_t n, ptrdiff_t k, cplx u_kk, double u_scale,
+                                 double hat_sq)
 {
     const cplx *restrict gen_k = a->gen + k * alpha;
     cplx *restrict gen = a->gen, *restrict panel = a->panel;
     const cplx *restrict line = a->line;
     ptrdiff_t lead = a->panel_lead, col = a->panel_len;
     divisor by = prepare(u_kk);
-    double scale = rows ? cmag(u_kk) : 1.0;
+    double scale = rows ? cmag(u_kk) : u_scale;
     double hat[HAT_LANES] = {0.0}, fac[HAT_LANES] = {0.0};
     long off = 0;
     ptrdiff_t j = k + 1;
@@ -592,8 +601,9 @@ static ALWAYS_INLINE int step(ptrdiff_t alpha, elimination *e, ptrdiff_t k)
 
     /* v_kk and the hatted norms at the pivoted step-k generators.  The
      * diagonal's hatted entry is |v_kk| in L, whose diagonal is one, and
-     * |phi_k||psi_k| / |t_k - s_k| in U.  phi_k psi_k is the numerator of
-     * u_kk, formed with the bits recover gave it. */
+     * |phi_k||psi_k| / |t_k - s_k| in U, summed times u_scale like u_kk.
+     * phi_k psi_k is the numerator of u_kk, formed with the bits recover
+     * gave it. */
     for (ptrdiff_t m = 0; m < alpha; m++) {
         rows->gen_abs[m] = cmag(phi_k[m]);
         cols->gen_abs[m] = cmag(psi_k[m]);
@@ -601,10 +611,12 @@ static ALWAYS_INLINE int step(ptrdiff_t alpha, elimination *e, ptrdiff_t k)
     cplx den = dot(phi_k, psi_k, alpha);
     double num = abs_dot(phi_k, cols->gen_abs, alpha);
     e->v_kk[k] = cmag(den) < e->v_floor ? (cplx){INFINITY, 0.0} : cdiv((cplx){num, 0.0}, den);
-    double h_l = cmag(e->v_kk[k]), h_u = num / cmag(csub(rows->node[k], cols->node[k]));
-    cols->sq += u_kk.re * u_kk.re + u_kk.im * u_kk.im;
-    update(alpha, 1, rows, cols, n, k, u_kk, h_l * h_l);
-    update(alpha, 0, cols, rows, n, k, u_kk, h_u * h_u);
+    double u_scale = e->u_scale, h_l = cmag(e->v_kk[k]);
+    double h_u = num * u_scale / cmag(csub(rows->node[k], cols->node[k]));
+    cplx u = {u_kk.re * u_scale, u_kk.im * u_scale};
+    cols->sq += u.re * u.re + u.im * u.im;
+    update(alpha, 1, rows, cols, n, k, u_kk, u_scale, h_l * h_l);
+    update(alpha, 0, cols, rows, n, k, u_kk, u_scale, h_u * h_u);
     return 0;
 }
 
@@ -625,24 +637,27 @@ static int step_any_rank(elimination *e, ptrdiff_t k)
  * No t_i may equal an s_j (CauchyNodes checks this).
  *
  * phi, psi, t, s, pidx and cidx are overwritten as elimination permutes and
- * updates them.  L must hold the identity and U zeros on entry; both are n x
- * n.  Per step k the trace arrays receive the pivot, its magnitude, v_kk
- * (+inf where |phi_k psi_k| is below v_floor) and the hatted L column / U
- * row norms; hat_ratio[k] is written only when hat is nonzero, in which
- * case inv_gap is work space of n^2 + 3 alpha n doubles: the reciprocal
- * gaps, then hat_ratio_step's columns.  panel holds n x panel_width complex
- * values: column k of L is gathered there, row by row, and copied into L
- * every panel_width steps.  work_c holds n complex values, work_r 2n + 2
- * alpha doubles.  sums receives ||L||_F^2 - n and ||U||_F^2 and, when a
- * step fails, the largest candidate magnitude of that step.
+ * updates them.  LU is n x n and must hold zeros on entry; it receives L
+ * strictly below the diagonal and U on and above it, and no other entry is
+ * written.  u_scale is a power of two (see the top of the file).  Per step
+ * k the trace arrays receive the pivot, its magnitude, v_kk (+inf where
+ * |phi_k psi_k| is below v_floor) and the hatted L column norm and U row
+ * norm, the latter times u_scale; hat_ratio[k] is written only when hat is
+ * nonzero, in which case inv_gap is work space of n^2 + 3 alpha n doubles:
+ * the reciprocal gaps times u_scale, then hat_ratio_step's columns.  panel
+ * holds n x panel_width complex values: column k of L is gathered there,
+ * row by row, and copied into LU every panel_width steps.  work_c holds n
+ * complex values, work_r 2n + 2 alpha doubles.  sums receives ||L||_F^2 - n
+ * and (u_scale ||U||_F)^2 and, when a step fails, the largest candidate
+ * magnitude of that step.
  *
  * Returns -1, or the step whose pivot magnitude is at most n eps times the
  * largest candidate examined there (the matrix is singular to working
  * precision).
  */
 ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, double eps,
-                        double v_floor, ptrdiff_t panel_width, cplx *phi, cplx *psi,
-                        cplx *t, cplx *s, cplx *L, cplx *U, ptrdiff_t *pidx, ptrdiff_t *cidx,
+                        double v_floor, double u_scale, ptrdiff_t panel_width, cplx *phi,
+                        cplx *psi, cplx *t, cplx *s, cplx *LU, ptrdiff_t *pidx, ptrdiff_t *cidx,
                         ptrdiff_t *piv_index, unsigned char *piv_is_col, double *piv_mag,
                         cplx *v_kk, double *hat_ratio, double *hat_l, double *hat_u,
                         double *inv_gap, cplx *panel, cplx *work_c, double *work_r,
@@ -650,19 +665,20 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
 {
     elimination e = {
         .n = n, .alpha = alpha, .strategy = strategy, .eps = eps, .v_floor = v_floor,
+        .u_scale = u_scale,
         .inv_gap = hat ? inv_gap : NULL, .hat_ratio = hat ? hat_ratio : NULL,
         .piv_index = piv_index, .piv_is_col = piv_is_col, .piv_mag = piv_mag, .v_kk = v_kk,
         .rows = {.node = t, .gen = phi, .line = work_c, .mag = work_r,
-                 .gen_abs = work_r + 2 * n, .idx = pidx, .fac = L, .panel = panel,
+                 .gen_abs = work_r + 2 * n, .idx = pidx, .fac = LU, .panel = panel,
                  .lead = n, .step = 1, .panel_lead = panel_width, .hat = hat_l},
         .cols = {.node = s, .gen = psi, .mag = work_r + n, .gen_abs = work_r + 2 * n + alpha,
-                 .idx = cidx, .fac = U, .lead = 1, .step = n, .hat = hat_u},
+                 .idx = cidx, .fac = LU, .lead = 1, .step = n, .hat = hat_u},
     };
 
     if (hat)
         for (ptrdiff_t i = 0; i < n; i++)
             for (ptrdiff_t j = 0; j < n; j++)
-                inv_gap[i * n + j] = 1.0 / cmag(csub(t[i], s[j]));
+                inv_gap[i * n + j] = u_scale / cmag(csub(t[i], s[j]));
 
     for (ptrdiff_t k = 0; k < n; k++) {
         /* columns k0..k of L are held in the panel until it is flushed */
@@ -670,7 +686,7 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
         e.rows.fac_len = k0;
         e.rows.panel_len = c;
         e.cols.fac_len = k;
-        e.cols.line = U + k * n;
+        e.cols.line = LU + k * n;
         if (alpha == 2 ? step_rank2(&e, k) : step_any_rank(&e, k)) {
             sums[2] = e.cand_max;
             return k;
@@ -678,7 +694,7 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
         if (c == panel_width - 1 || k == n - 1)
             for (ptrdiff_t j = k0 + 1; j < n; j++) {
                 ptrdiff_t width = j - k0 < c + 1 ? j - k0 : c + 1;
-                memcpy(L + j * n + k0, panel + j * panel_width, (size_t)width * sizeof(cplx));
+                memcpy(LU + j * n + k0, panel + j * panel_width, (size_t)width * sizeof(cplx));
             }
     }
     sums[0] = e.rows.sq;

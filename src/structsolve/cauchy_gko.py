@@ -52,6 +52,8 @@ HAT_RATIO_AUTO_LIMIT = 256
 # 2n/64 Python iterations instead of 2n.  Blocks of 32 or 128 rows made a
 # solve about 10% slower at n = 1024 and 2048, blocks of 16 or 256 about 40%.
 _SUB_BLOCK = 64
+#: the strictly lower triangle of a diagonal block
+_STRICT_LOWER = np.tri(_SUB_BLOCK, _SUB_BLOCK, -1, dtype=bool)
 
 
 class PivotStrategy(enum.Enum):
@@ -112,30 +114,72 @@ class GKOFactorization:
     ``row_perm`` is P and ``col_perm`` is P' (identity unless the
     row-1/column-1 strategy performed column interchanges), both as
     row-selection permutations, so the source matrix is recovered as
-    ``row_perm.matrix().T @ L @ U @ col_perm.matrix().T``.  ``norm_L`` and
-    ``norm_U`` are the Frobenius norms of L and U, accumulated during
-    elimination.
+    ``row_perm.matrix().T @ L @ U @ col_perm.matrix().T``.  ``LU`` holds
+    both factors in one n x n array, as LAPACK's xGETRF stores them: L
+    strictly below the diagonal, its unit diagonal implied, and U on and
+    above it.  ``norm_L`` and ``norm_U`` are the Frobenius norms of L and U,
+    accumulated during elimination.
     """
 
     row_perm: Permutation
     col_perm: Permutation
-    L: np.ndarray
-    U: np.ndarray
+    LU: np.ndarray
     trace: GrowthTrace
     norm_L: float
     norm_U: float
 
     @property
     def n(self) -> int:
-        return self.L.shape[0]
+        return self.LU.shape[0]
+
+    @property
+    def L(self) -> np.ndarray:
+        """Unit lower triangular L, a new read-only array built from ``LU``."""
+        L = self._lower()
+        L.flags.writeable = False
+        return L
+
+    @property
+    def U(self) -> np.ndarray:
+        """Upper triangular U, a new read-only array built from ``LU``."""
+        U = self._upper()
+        U.flags.writeable = False
+        return U
+
+    # Each factor is written one block of _SUB_BLOCK rows at a time: the
+    # part beside the diagonal block is copied from LU or zeroed in one
+    # slice, and the diagonal block is masked.  Building a factor allocates
+    # nothing but the factor: np.tril and np.triu allocate an n x n mask
+    # besides, 4 MB at n = 2048.  Slicing one row at a time took 2 to 3
+    # times as long at n = 256 and 1.3 to 1.5 times at n = 2048.
+    def _lower(self) -> np.ndarray:
+        LU, n = self.LU, self.n
+        L = np.empty((n, n), dtype=complex)
+        for lo in range(0, n, _SUB_BLOCK):
+            hi = min(lo + _SUB_BLOCK, n)
+            L[lo:hi, :hi] = LU[lo:hi, :hi]
+            L[lo:hi, hi:] = 0.0
+            L[lo:hi, lo:hi][_STRICT_LOWER.T[: hi - lo, : hi - lo]] = 0.0
+        np.fill_diagonal(L, 1.0)
+        return L
+
+    def _upper(self) -> np.ndarray:
+        LU, n = self.LU, self.n
+        U = np.empty((n, n), dtype=complex)
+        for lo in range(0, n, _SUB_BLOCK):
+            hi = min(lo + _SUB_BLOCK, n)
+            U[lo:hi, :lo] = 0.0
+            U[lo:hi, lo:] = LU[lo:hi, lo:]
+            U[lo:hi, lo:hi][_STRICT_LOWER[: hi - lo, : hi - lo]] = 0.0
+        return U
 
     def reconstruct(self) -> np.ndarray:
         """Dense P^T L U P'^T, the matrix this factorization represents."""
-        n = self.n
-        out = np.empty((n, n), dtype=complex)
-        cidx = np.argsort(self.col_perm.idx)
-        out[np.ix_(self.row_perm.idx, cidx)] = self.L @ self.U
-        return out
+        L = self._lower()
+        product = L @ self._upper()
+        # L is not read again, so its buffer takes the permuted product
+        L[np.ix_(self.row_perm.idx, np.argsort(self.col_perm.idx))] = product
+        return L
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_gko_kernel.c")
@@ -170,12 +214,12 @@ _STRATEGY_CODES = {
 }
 
 
-# dtypes of the kernel's array arguments, in order: phi, psi^T, t, s, L, U;
+# dtypes of the kernel's array arguments, in order: phi, psi^T, t, s, LU;
 # pidx, cidx, pivot_index, pivot_is_col; pivot_magnitude, v_kk; hat_ratio,
 # hat_l_col, hat_u_row, the hat ratio's work; the L panel, complex and real
 # work space, and the norm sums
 _KERNEL_ARRAYS = (
-    (complex,) * 6
+    (complex,) * 5
     + (np.intp, np.intp, np.intp, np.bool_)
     + (float, complex)
     + (float, float, float, float)
@@ -234,8 +278,9 @@ def _load_kernel(cache_dir=_KERNEL_SOURCE.parent / "__pycache__", compiler="cc",
     library = ctypes.CDLL(str(lib))
     size, flag, real, address = ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double, ctypes.c_void_p
     eliminate = library.gko_eliminate
-    # n, alpha, strategy, hat, eps, V floor, L panel width, then the arrays
-    eliminate.argtypes = [size, size, flag, flag, real, real, size]
+    # n, alpha, strategy, hat, eps, V floor, U scale, L panel width, then
+    # the arrays
+    eliminate.argtypes = [size, size, flag, flag, real, real, real, size]
     eliminate.argtypes += [address] * len(_KERNEL_ARRAYS)
     eliminate.restype = size
     solve_block = library.tri_block_solve
@@ -257,11 +302,13 @@ def gko_factor(
     """Factor a Cauchy-type matrix given by generators as P^T L U P'^T.
 
     Every elimination step runs in one compiled loop (``_gko_kernel.c``).
-    Besides L and U (32 n^2 bytes) and copies of the generators and nodes,
-    the loop works in an n-row panel of ``_L_PANEL`` columns of L, 16 n
-    ``_L_PANEL`` bytes (1 MB at n = 2048), and 32 n + 16 alpha bytes: one
-    recovered column, the magnitudes of the recovered column and row, and
-    those of the pivot's generator rows.
+    L and U share one n x n array, ``LU`` (16 n^2 bytes, 67 MB at n = 2048),
+    zeroed once and written by the loop only where a factor has an entry.
+    Besides it and copies of the generators and nodes, the loop works in an
+    n-row panel of ``_L_PANEL`` columns of L, 16 n ``_L_PANEL`` bytes (1 MB
+    at n = 2048), and 32 n + 16 alpha bytes: one recovered column, the
+    magnitudes of the recovered column and row, and those of the pivot's
+    generator rows.
 
     Parameters
     ----------
@@ -305,10 +352,8 @@ def gko_factor(
     psi_t = np.array(gen.psi.T, dtype=complex, order="C")
     t = np.array(nodes.t, dtype=complex)
     s = np.array(nodes.s, dtype=complex)
-    # interchanges move only the finished columns 0..k-1 of L, so the unit
-    # diagonal can be written up front
-    L = np.eye(n, dtype=complex)
-    U = np.zeros((n, n), dtype=complex)
+    LU = np.zeros((n, n), dtype=complex)
+    u_scale = _u_scale(phi, psi_t, t, s)
     pidx = np.arange(n)
     cidx = np.arange(n)
     trace = GrowthTrace(
@@ -328,7 +373,7 @@ def gko_factor(
     work_r = np.empty(2 * n + 2 * alpha)
     sums = np.zeros(3)
     arrays = (
-        phi, psi_t, t, s, L, U,
+        phi, psi_t, t, s, LU,
         pidx, cidx, trace.pivot_index, trace.pivot_is_col,
         trace.pivot_magnitude, trace.v_kk,
         trace.hat_ratio, trace.hat_l_col, trace.hat_u_row, hat_work,
@@ -336,28 +381,49 @@ def gko_factor(
     )
     failed = _kernel(
         n, alpha, _STRATEGY_CODES[strategy], int(bool(hat_ratios)), EPS, V_DEGENERATE_FLOOR,
-        _L_PANEL, *map(_address, arrays, _KERNEL_ARRAYS),
+        u_scale, _L_PANEL, *map(_address, arrays, _KERNEL_ARRAYS),
     )
     if failed >= 0:
         raise SingularMatrixError(
             f"singular at step {failed}: pivot {trace.pivot_magnitude[failed]:.3e} "
             f"below {n}*eps*{sums[2]:.3e}"
         )
+    # the kernel sums U's squares, and the hatted ones, times u_scale
+    trace.hat_u_row /= u_scale
     return GKOFactorization(
         row_perm=Permutation(pidx),
         col_perm=Permutation(np.argsort(cidx)),
-        L=L,
-        U=U,
+        LU=LU,
         trace=trace,
         norm_L=float(np.sqrt(n + sums[0])),
-        norm_U=float(np.sqrt(sums[1])),
+        norm_U=float(np.sqrt(sums[1]) / u_scale),
     )
 
 
-def _substitute(T: np.ndarray, z: np.ndarray, upper: bool) -> None:
-    """Overwrite z with T^-1 z, for T unit lower or upper triangular.
+def _u_scale(phi: np.ndarray, psi_t: np.ndarray, t: np.ndarray, s: np.ndarray) -> float:
+    """A power of two near one over the largest entry of R's first column and row.
 
-    T is a C-contiguous complex (n, n) array and z a C-contiguous complex
+    The kernel sums the squares of U's entries, and of the hatted ones, on
+    the entries times this scale, so that the sums neither underflow nor
+    overflow where the entries do not; dividing it out again is exact.  The
+    entries are formed elementwise, so that no BLAS call, nor any of its
+    threads, runs inside a factorization.  The scale is kept within
+    [2^-1021, 2^1021], so that it and its reciprocal are normal numbers.
+    """
+    with np.errstate(all="ignore"):
+        col = (phi * psi_t[0]).sum(axis=1) / (t - s[0])
+        row = (psi_t * phi[0]).sum(axis=1) / (t[0] - s)
+        top = max(np.abs(col).max(), np.abs(row).max())
+    exponent = int(np.frexp(top)[1]) if np.isfinite(top) else 0
+    return float(np.ldexp(1.0, -min(max(exponent, -1021), 1021)))
+
+
+def _substitute(T: np.ndarray, z: np.ndarray, upper: bool) -> None:
+    """Overwrite z with T^-1 z, T taken as its unit lower or its upper triangle.
+
+    The lower substitution reads only the entries of T below the diagonal and
+    the upper one only those on and above it, so T may hold both factors.  T
+    is a C-contiguous complex (n, n) array and z a C-contiguous complex
     (n,) or (n, m) array, blocks of ``_SUB_BLOCK`` rows taken first to last
     (lower) or last to first (upper).
     """
@@ -391,18 +457,17 @@ def solve_with_factors(f: GKOFactorization, b) -> np.ndarray:
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side b has non-finite entries")
     # the compiled block solve reads the factors through raw pointers
-    L = np.ascontiguousarray(f.L, dtype=complex)
-    U = np.ascontiguousarray(f.U, dtype=complex)
-    if L.shape != (n, n) or U.shape != (n, n):
-        raise ValueError(f"L and U must be ({n}, {n}), got {L.shape} and {U.shape}")
+    LU = np.ascontiguousarray(f.LU, dtype=complex)
+    if LU.shape != (n, n):
+        raise ValueError(f"LU must be ({n}, {n}), got {LU.shape}")
     if f.row_perm.n != n or f.col_perm.n != n:
         raise ValueError(
             f"permutations must be order {n}, got {f.row_perm.n} and {f.col_perm.n}"
         )
-    if np.any(np.diag(U) == 0.0):
+    if np.any(np.diag(LU) == 0.0):
         raise SingularMatrixError("zero diagonal in U")
     # fancy indexing copies b, so z may be overwritten
     z = np.ascontiguousarray(b[f.row_perm.idx])
-    _substitute(L, z, upper=False)
-    _substitute(U, z, upper=True)
+    _substitute(LU, z, upper=False)
+    _substitute(LU, z, upper=True)
     return z[f.col_perm.idx]

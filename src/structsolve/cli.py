@@ -65,14 +65,15 @@ class InputError(ValueError):
     pass
 
 
+def _is_number(x) -> bool:
+    # a JSON true or false loads as a bool, which is an int subclass
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _scalar(x):
-    if isinstance(x, (int, float)):
+    if _is_number(x):
         return complex(x)
-    if (
-        isinstance(x, (list, tuple))
-        and len(x) == 2
-        and all(isinstance(v, (int, float)) for v in x)
-    ):
+    if isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_number, x)):
         return complex(x[0], x[1])
     raise InputError(f"expected a number or [re, im] pair, got {x!r}")
 

@@ -2,7 +2,7 @@
 
 Everything is stored dense and complex128, even when the data happens to be
 real: the simplicity is worth the memory even at orders in the thousands
-(at n = 2048, L and U together take 134 MB).
+(at n = 2048, the packed LU factors take 67 MB).
 """
 
 from __future__ import annotations

@@ -114,6 +114,21 @@ def _check_orders(n: int, **orders: int) -> None:
             raise ValueError(f"factorization is order {n}, {name} order {m}")
 
 
+def _quadrature(v: np.ndarray) -> float:
+    """sqrt(sum(v**2)) for nonnegative v, summed on v scaled by a power of two
+    near 1 / max(v) so that no square under- or overflows.
+
+    The scaling is exact, so where no square of the plain sum leaves the
+    normal range the result has its bits; ``_norm`` would not keep them, as
+    ``np.linalg.norm`` sums in another order.
+    """
+    top = float(np.max(v, initial=0.0))
+    if top == 0.0 or not np.isfinite(top):
+        return float(np.sqrt(np.sum(v**2)))
+    exponent = int(np.frexp(top)[1])
+    return float(np.ldexp(np.sqrt(np.sum(np.ldexp(v, -exponent) ** 2)), exponent))
+
+
 def _v_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Elementwise |phi||psi| / (phi psi); degenerate denominators go to inf."""
     mag = np.abs(den)
@@ -147,8 +162,8 @@ def growth_report(
     n = f.n
     _check_orders(n, trace=trace.n, nodes=nodes.n)
     norm_l, norm_u = f.norm_L, f.norm_U
-    hat_l = float(np.sqrt(np.sum(trace.hat_l_col**2)))
-    hat_u = float(np.sqrt(np.sum(trace.hat_u_row**2)))
+    hat_l = _quadrature(trace.hat_l_col)
+    hat_u = _quadrature(trace.hat_u_row)
     hatL_ratio = hat_l / norm_l
     hatU_ratio = hat_u / norm_u
     # operator norm of diag{v_kk}: the constant that bounds ||L diag U||

@@ -103,6 +103,9 @@ def toeplitz_solve(f: ToeplitzFactorization, b) -> np.ndarray:
         raise ValueError(f"b must have shape (n,) or (n, m), got shape {b.shape}")
     if b.shape[0] != f.n:
         raise ValueError(f"factorization is order {f.n}, b has length {b.shape[0]}")
+    # checked before the transform, which would warn on an infinite entry
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side b has non-finite entries")
     y = solve_with_factors(f.inner, apply_F(f.plan, b))
     # x = D^* F^* y; D is unit-modulus so its inverse is the conjugate
     d_inv = np.conj(f.d) if b.ndim == 1 else np.conj(f.d)[:, None]

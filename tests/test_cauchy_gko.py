@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,10 +330,49 @@ def test_singular_generators_raise(strategy):
         ss.gko_factor(gen, nodes, strategy)
 
 
+def _traced_peak(build):
+    """(result, peak bytes traced while build() ran)."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_factorization_allocates_one_factor_array():
+    # L and U share one n x n array; besides it the kernel works in its
+    # panel of columns of L and in O(n) arrays
+    n = 512
+    gen, nodes = ss.to_cauchy_generators(ss.toeplitz_generators(ss.random_toeplitz(n, seed=1)))
+    f, peak = _traced_peak(lambda: ss.gko_factor(gen, nodes, "partial", hat_ratios=False))
+    assert f.LU.shape == (n, n)
+    assert peak <= 1.15 * (16 * n * n + 16 * n * cauchy_gko._L_PANEL)
+
+
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+def test_L_and_U_are_read_only_triangles_of_LU(strategy):
+    f = ss.gko_factor(*ss.random_cauchy_type(70, 2, seed=70), strategy)
+    lower = np.tril(f.LU, -1)
+    np.fill_diagonal(lower, 1.0)
+    for factor, expected in ((f.L, lower), (f.U, np.triu(f.LU))):
+        assert factor.dtype == np.complex128 and factor.flags.c_contiguous
+        assert not factor.flags.writeable
+        assert factor.tobytes() == expected.tobytes()
+    assert f.L is not f.L
+
+
+@pytest.mark.parametrize("name", ["L", "U"])
+def test_building_a_factor_allocates_only_the_factor(name):
+    # np.eye, np.tril or np.triu would allocate an n x n temporary or mask
+    f = ss.gko_factor(*ss.random_cauchy_type(300, 2, seed=3), "partial", hat_ratios=False)
+    factor, peak = _traced_peak(lambda: getattr(f, name))
+    assert factor.nbytes <= peak <= 1.01 * factor.nbytes
+
+
 def test_solve_with_identity_factors():
     f = ss.gko_factor(*_ones_cauchy([2.0], [0.0]), "none")
-    f.L[0, 0] = 1.0
-    f.U[0, 0] = 1.0
+    f.LU[0, 0] = 1.0
     assert_allclose(ss.solve_with_factors(f, [7.0]), [7.0])
 
 
@@ -358,7 +398,7 @@ def test_solve_agrees_with_dense_oracle():
 
 def test_solve_zero_diagonal_raises():
     f = ss.gko_factor(*ss.random_cauchy_type(3, 1, seed=2), "partial")
-    f.U[1, 1] = 0.0
+    f.LU[1, 1] = 0.0
     with pytest.raises(ss.SingularMatrixError):
         ss.solve_with_factors(f, np.ones(3))
 
@@ -421,14 +461,13 @@ def test_solve_rejects_rhs_that_is_not_one_or_two_dimensional(shape):
         ss.solve_with_factors(f, np.ones(shape))
 
 
-@pytest.mark.parametrize("factor", ["L", "U"])
 @pytest.mark.parametrize("delta", [-1, 1], ids=["narrow", "wide"])
-def test_solve_rejects_factors_that_are_not_square(factor, delta):
+def test_solve_rejects_factors_that_are_not_square(delta):
     f = ss.gko_factor(*ss.random_cauchy_type(6, 2, seed=5), "partial")
-    square = getattr(f, factor)
+    square = f.LU
     wrong = square[:, :delta] if delta < 0 else np.hstack([square, square[:, :delta]])
-    with pytest.raises(ValueError, match=r"L and U must be \(6, 6\)"):
-        ss.solve_with_factors(dataclasses.replace(f, **{factor: wrong}), np.ones(6))
+    with pytest.raises(ValueError, match=r"LU must be \(6, 6\)"):
+        ss.solve_with_factors(dataclasses.replace(f, LU=wrong), np.ones(6))
 
 
 @pytest.mark.parametrize("perm", ["row_perm", "col_perm"])
@@ -443,11 +482,11 @@ def test_solve_reads_replaced_factors_by_value():
     n = B + 5
     f = ss.gko_factor(*ss.random_cauchy_type(n, 2, seed=6), "row1col1")
     b = np.linspace(1.0, 2.0, n) + 0.25j
-    fortran = dataclasses.replace(f, L=np.asfortranarray(f.L), U=np.asfortranarray(f.U))
-    assert not fortran.L.flags.c_contiguous and not fortran.U.flags.c_contiguous
+    fortran = dataclasses.replace(f, LU=np.asfortranarray(f.LU))
+    assert not fortran.LU.flags.c_contiguous
     assert ss.solve_with_factors(fortran, b).tobytes() == ss.solve_with_factors(f, b).tobytes()
-    single = dataclasses.replace(f, L=f.L.astype(np.complex64), U=f.U.astype(np.complex64))
-    widened = dataclasses.replace(f, L=single.L.astype(complex), U=single.U.astype(complex))
+    single = dataclasses.replace(f, LU=f.LU.astype(np.complex64))
+    widened = dataclasses.replace(f, LU=single.LU.astype(complex))
     x = ss.solve_with_factors(single, b)
     assert x.tobytes() == ss.solve_with_factors(widened, b).tobytes()
     x_ref = ss.solve_with_factors(f, b)
@@ -468,7 +507,7 @@ def test_solve_rejects_non_finite_rhs(shape, bad):
 def test_solve_zero_diagonal_in_later_block_raises(k, monkeypatch):
     n = 3 * B + 4
     f = ss.gko_factor(*ss.random_cauchy_type(n, 2, seed=3), "partial")
-    f.U[k, k] = 0.0
+    f.LU[k, k] = 0.0
 
     def unreachable(*args):
         raise AssertionError("the block solve ran on a U with a zero diagonal")
@@ -753,33 +792,74 @@ def test_step_zero_row_is_numpys_complex_quotient_bit_for_bit():
     assert f.U[0].tobytes() == (num / gaps).tobytes()
 
 
-@pytest.mark.parametrize("exponent", [-600, 500])
-@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
-def test_generators_scaled_past_the_quick_magnitude_range_keep_the_factors(strategy, exponent):
-    # scaled by 2^-600 (phi only) the squares of the recovered entries
-    # underflow; scaled by 2^500 (phi and psi) they overflow.  Either way the
-    # magnitudes come from hypot, so the pivots, L, v_kk and the hatted L
-    # norms, which are ratios, are those of the unscaled generators, and U and
-    # the pivot magnitudes are scaled by the same power of two exactly.
-    def ldexp(z, e):
-        z = np.asarray(z, dtype=complex)
-        out = np.empty_like(z)
-        out.real, out.imag = np.ldexp(z.real, e), np.ldexp(z.imag, e)
-        return out
+def _ldexp(z, e):
+    """z times 2^e, on the real and imaginary parts separately."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    out.real, out.imag = np.ldexp(z.real, e), np.ldexp(z.imag, e)
+    return out
 
-    gen, nodes = ss.random_cauchy_type(37, 2, seed=11)
-    phi_exp, psi_exp = (exponent, 0) if exponent < 0 else (exponent, exponent)
-    scaled = ss.GeneratorPair(phi=ldexp(gen.phi, phi_exp), psi=ldexp(gen.psi, psi_exp))
-    f = ss.gko_factor(gen, nodes, strategy, hat_ratios=False)
-    g = ss.gko_factor(scaled, nodes, strategy, hat_ratios=False)
+
+def _assert_scaled_factors(f, g, nodes, exponent, rtol=0.0):
+    """g factors the matrix of f times 2^exponent: the same pivots and L, and
+    U and ||U||_F times 2^exponent, bit for bit.  The same v_kk, hat ratios
+    and growth factors, and the pivot magnitudes and hatted U row norms times
+    2^exponent, bit for bit when rtol is 0 and to rtol otherwise."""
+
+    def same(got, expected, name):
+        if rtol:
+            assert_allclose(got, expected, rtol=rtol, atol=0, err_msg=name)
+        else:
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), name
+
     assert np.array_equal(g.trace.pivot_index, f.trace.pivot_index)
     assert np.array_equal(g.trace.pivot_is_col, f.trace.pivot_is_col)
     assert g.L.tobytes() == f.L.tobytes()
-    assert g.U.tobytes() == ldexp(f.U, phi_exp + psi_exp).tobytes()
-    assert g.trace.v_kk.tobytes() == f.trace.v_kk.tobytes()
-    assert g.trace.hat_l_col.tobytes() == f.trace.hat_l_col.tobytes()
-    scaled_mag = np.ldexp(f.trace.pivot_magnitude, phi_exp + psi_exp)
-    assert g.trace.pivot_magnitude.tobytes() == scaled_mag.tobytes()
+    assert g.U.tobytes() == _ldexp(f.U, exponent).tobytes()
+    assert g.norm_L == f.norm_L
+    assert g.norm_U == np.ldexp(f.norm_U, exponent)
+    for name in ("v_kk", "hat_l_col", "hat_ratio"):
+        same(getattr(g.trace, name), getattr(f.trace, name), name)
+    for name in ("pivot_magnitude", "hat_u_row"):
+        same(getattr(g.trace, name), np.ldexp(getattr(f.trace, name), exponent), name)
+    expected, got = ss.growth_report(f.trace, f, nodes), ss.growth_report(g.trace, g, nodes)
+    for name in ("g1", "g2", "hatL_ratio", "hatU_ratio", "v_kk_norm"):
+        same(getattr(got, name), getattr(expected, name), name)
+    assert np.isfinite(got.g1) and np.isfinite(got.g2)
+
+
+@pytest.mark.parametrize(
+    "phi_exp, psi_exp", [(-600, 0), (-300, -300), (500, 500)], ids=["-600", "-300-300", "500"]
+)
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+def test_generators_scaled_past_the_quick_magnitude_range_keep_the_factors(
+    strategy, phi_exp, psi_exp
+):
+    # scaled by 2^-600 (phi only) or 2^-300 (both) the squares of the
+    # recovered entries underflow; scaled by 2^500 (both) they overflow.
+    # Either way the magnitudes come from hypot, and the kernel sums the
+    # squares of U's entries, and of the hatted ones, scaled by a power of
+    # two, so every ratio is that of the unscaled generators and every
+    # quantity of U's scale is scaled by the same power of two exactly.
+    gen, nodes = ss.random_cauchy_type(37, 2, seed=11)
+    scaled = ss.GeneratorPair(phi=_ldexp(gen.phi, phi_exp), psi=_ldexp(gen.psi, psi_exp))
+    f = ss.gko_factor(gen, nodes, strategy, hat_ratios=True)
+    g = ss.gko_factor(scaled, nodes, strategy, hat_ratios=True)
+    _assert_scaled_factors(f, g, nodes, phi_exp + psi_exp)
+
+
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+def test_toeplitz_coefficients_scaled_far_down_keep_the_factors(strategy):
+    # one generator column on each side is scaled with the coefficients and
+    # the other is not, so every entry of R is scaled by 2^-560; the squares
+    # of U's entries, about 1e-338, would underflow unscaled.  The magnitudes
+    # of the scaled generator entries come from hypot and those of the
+    # unscaled ones from sqrt(re^2 + im^2), an ulp or two apart, so the
+    # quantities formed from generator magnitudes agree to rounding only.
+    c = ss.random_toeplitz(64, seed=1)
+    f = ss.toeplitz_factor(c, strategy, hat_ratios=True).inner
+    g = ss.toeplitz_factor(ss.ToeplitzCoeffs(a=_ldexp(c.a, -560)), strategy, hat_ratios=True).inner
+    _assert_scaled_factors(f, g, ss.toeplitz_cauchy_nodes(64), -560, rtol=1e-15)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17])

@@ -165,6 +165,24 @@ def test_cli_solve_non_finite_rhs(tmp_path, capsys, kind):
     assert "input error: right-hand side b has non-finite entries" in captured.err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"toeplitz": {"a": [1, 4, True]}, "b": [1, 0]},
+        {"toeplitz": {"a": [1, 4, 2]}, "b": [True, False]},
+        {"toeplitz": {"a": [1, [4, False], 2]}, "b": [1, 0]},
+    ],
+    ids=["coefficient", "rhs", "pair-part"],
+)
+def test_cli_rejects_json_booleans_as_numbers(tmp_path, capsys, doc):
+    # bool is a subclass of int, so true and false would read as 1 and 0
+    path = _write_json(tmp_path / "bool.json", doc)
+    assert cli.main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: expected a number or [re, im] pair, got" in captured.err
+
+
 def test_cli_encode_non_finite_complex_like_float():
     assert cli._encode(complex(float("nan"), 1.0)) == ["nan", 1.0]
     assert cli._encode(np.array([complex(2.0, float("inf"))])) == [[2.0, "inf"]]

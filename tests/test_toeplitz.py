@@ -177,10 +177,15 @@ def test_solve_rejects_rhs_that_is_not_one_or_two_dimensional(shape):
 
 
 @pytest.mark.parametrize("shape", [(4,), (4, 3)], ids=["one-rhs", "three-rhs"])
-def test_solve_rejects_non_finite_rhs(shape):
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf)], ids=["nan", "inf", "-inf", "1+inf j"]
+)
+def test_solve_rejects_non_finite_rhs(shape, bad):
+    # an infinite entry must be refused before the transform, which would
+    # warn (an error under the test suite's warning filter)
     f = ss.toeplitz_factor(ss.random_toeplitz(4, seed=0))
-    b = np.ones(shape)
-    b[2] = np.nan
+    b = np.ones(shape, dtype=complex)
+    b[2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         ss.toeplitz_solve(f, b)
 
