@@ -21,7 +21,6 @@ config = ss.SweepConfig(
     delta_exponents=tuple(range(2, 11)),
     strategies=(ss.PivotStrategy.PARTIAL_ROW, ss.PivotStrategy.ROW1_COL1),
     rhs="ones",
-    regression_exponents=(2, 6),
 )
 result = ss.run_sweep(config)
 

@@ -3,7 +3,7 @@
 #
 #     scripts/bench_pairs.sh REV WORKLOAD SECONDS SEED...
 #
-# Checks REV out into a temporary git worktree and, for each SEED, runs
+# Exports REV into a temporary directory and, for each SEED, runs
 # `perfbench/run.py --workload WORKLOAD --seconds SECONDS --seed SEED
 # --trace 0` once in REV's tree and once in this checkout, each side with its
 # own perfbench/ and src/.  REV runs first for the first seed, this checkout
@@ -19,7 +19,7 @@
 # so work that a change moves out of the timed window, such as building
 # arrays after each operation, shows in the wall seconds alone.  Exits 0 when every run
 # is correct with no failed operation, 1 otherwise, and 2 on a usage or setup
-# error.  The worktree is removed on exit.
+# error.  The temporary directory is removed on exit.
 set -euo pipefail
 
 usage() {
@@ -35,7 +35,8 @@ rev=$(git -C "$here" rev-parse --verify --quiet "$1^{commit}") || {
 workload=$2
 seconds=$3
 shift 3
-[[ $seconds =~ ^[0-9]+([.][0-9]+)?$ ]] || {
+# a number with a nonzero digit is positive
+[[ $seconds =~ ^[0-9]+([.][0-9]+)?$ && $seconds =~ [1-9] ]] || {
     echo "$0: SECONDS must be a positive number, got $seconds" >&2
     exit 2
 }
@@ -47,14 +48,10 @@ for seed in "$@"; do
 done
 
 tmp=$(mktemp -d)
-cleanup() {
-    git -C "$here" worktree remove --force "$tmp/tree" 2>/dev/null || true
-    git -C "$here" worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
-git -C "$here" worktree add --quiet --detach "$tmp/tree" "$rev" || exit 2
+mkdir "$tmp/tree"
+git -C "$here" archive "$rev" | tar -x -C "$tmp/tree" || exit 2
 for root in "$tmp/tree" "$here"; do
     python3 -c 'import sys; sys.path.insert(0, sys.argv[1]); import structsolve' \
         "$root/src" || exit 2

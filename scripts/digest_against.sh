@@ -3,7 +3,7 @@
 #
 #     scripts/digest_against.sh REV
 #
-# Checks REV out into a temporary git worktree, copies this checkout's
+# Exports REV into a temporary directory, copies this checkout's
 # scripts/factor_digest.py into it (so both sides digest the same corpus),
 # runs the script there and here, and diffs the two outputs.  The working
 # tree is digested as it stands, uncommitted edits included.  When they
@@ -12,7 +12,7 @@
 # so a change that should move only the hat ratio shows the first three at
 # 0, and one that should move only the lane-summed norms the first two.
 # Exits 0 when the outputs are identical, 1 when they differ and 2 on a
-# usage or setup error.  The worktree is removed on exit.
+# usage or setup error.  The temporary directory is removed on exit.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -25,14 +25,10 @@ rev=$(git -C "$here" rev-parse --verify --quiet "$1^{commit}") || {
     exit 2
 }
 tmp=$(mktemp -d)
-cleanup() {
-    git -C "$here" worktree remove --force "$tmp/tree" 2>/dev/null || true
-    git -C "$here" worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
-git -C "$here" worktree add --quiet --detach "$tmp/tree" "$rev" || exit 2
+mkdir "$tmp/tree"
+git -C "$here" archive "$rev" | tar -x -C "$tmp/tree" || exit 2
 mkdir -p "$tmp/tree/scripts"
 cp "$here/scripts/factor_digest.py" "$tmp/tree/scripts/factor_digest.py"
 python3 "$tmp/tree/scripts/factor_digest.py" > "$tmp/before.txt" || exit 2

@@ -16,9 +16,9 @@ trace fields named in ``FACTOR_TRACE_FIELDS`` (``pivot_index``,
 ``pivot_is_col``, ``pivot_magnitude``, ``v_kk``): everything a step
 computes entry by entry, so a change that only sums the hatted norms or
 ``norm_L`` and ``norm_U`` in another order keeps it and moves the last
-two.  The full digest covers L, U, ``row_perm``, ``col_perm``, the
-``GrowthTrace`` fields named in ``TRACE_FIELDS``, every ``growth_report``
-field and ``v_matrix`` of the factored generators.  The trace fields are a
+two.  The full digest covers L, U, ``row_perm``, ``col_perm``, ``norm_L``,
+``norm_U``, the ``GrowthTrace`` fields named in ``TRACE_FIELDS``, every
+``growth_report`` field and ``v_matrix`` of the factored generators.  The trace fields are a
 fixed list, not whatever the trace holds, so that a copy run in an older
 checkout, whose trace has more fields, digests the same values as here.
 The non-hat digest covers the same except ``hat_ratio`` and the four report
@@ -152,7 +152,7 @@ def digest(gen, nodes, strategy, hat_ratios) -> str:
         if not from_hat_ratio:
             _update(non_hat, value)
 
-    for value in (f.L, f.U, f.row_perm, f.col_perm):
+    for value in (f.L, f.U, f.row_perm, f.col_perm, np.float64(f.norm_L), np.float64(f.norm_U)):
         add(value)
     for name in TRACE_FIELDS:
         add(getattr(f.trace, name), name == HAT_TRACE_FIELD)

@@ -55,11 +55,13 @@
  * the pivot, v_kk, the hatted norms of the new L column and U row and, when
  * asked, the hat ratio.  The entries of U and the hatted entries of U and
  * of the hat ratio scale with the generators, so their squares are summed
- * on the entries times u_scale, a power of two the caller picks near one
- * over the largest entry of R's first column and row: the squares then
- * neither underflow nor overflow where the entries themselves do not.
- * Scaling by a power of two is exact, so in range the sums are the plain
- * ones times u_scale^2.
+ * on the entries times u_scale, a power of two that gko_eliminate picks
+ * near one over the largest entry of R's first column and row (see
+ * pick_u_scale): the squares then neither underflow nor overflow where the
+ * entries themselves do not.  Scaling by a power of two is exact, so in
+ * range the sums are the plain ones times u_scale^2, and the norms the
+ * kernel returns, with u_scale divided out, have the bits of the plain
+ * ones.
  */
 
 #include <math.h>
@@ -507,7 +509,8 @@ static ALWAYS_INLINE void update(ptrdiff_t alpha, int rows, side *a, const side 
     }
     exact_sums(alpha, rows, n, j, gen, b->gen_abs, a->node, b->node[k], line, by, scale, hat,
                fac);
-    a->hat[k] = sqrt(hat_sq + lane_total(hat));
+    /* U's hatted entries were summed times u_scale */
+    a->hat[k] = sqrt(hat_sq + lane_total(hat)) / (rows ? 1.0 : u_scale);
     a->sq += lane_total(fac);
 
     NO_OVERLAP
@@ -632,6 +635,27 @@ static int step_any_rank(elimination *e, ptrdiff_t k)
     return step(e->alpha, e, k);
 }
 
+/* The scale of U's sums of squares (see the top of the file): 2^-e for
+ * the exponent e of the largest magnitude of R's first column and row, its
+ * entries formed as recover forms them, with e kept within [-1021, 1021] so
+ * that the scale and its reciprocal are normal.  1 when that magnitude is
+ * zero or an entry is not finite. */
+static double pick_u_scale(ptrdiff_t n, ptrdiff_t alpha, const cplx *phi, const cplx *psi,
+                           const cplx *t, const cplx *s)
+{
+    double top = 0.0;
+    for (ptrdiff_t j = 0; j < n; j++) {
+        double col = cmag(cdiv(dot(phi + j * alpha, psi, alpha), csub(t[j], s[0])));
+        double row = cmag(cdiv(dot(psi + j * alpha, phi, alpha), csub(t[0], s[j])));
+        if (!isfinite(col) || !isfinite(row))
+            return 1.0;
+        top = fmax(top, fmax(col, row));
+    }
+    int e;
+    frexp(top, &e);
+    return ldexp(1.0, e < -1021 ? 1021 : e > 1021 ? -1021 : -e);
+}
+
 /* Factor the Cauchy-type matrix with nodes t, s and generators phi (n x
  * alpha) and psi (stored transposed, n x alpha: row j is psi's column j).
  * No t_i may equal an s_j (CauchyNodes checks this).
@@ -639,30 +663,30 @@ static int step_any_rank(elimination *e, ptrdiff_t k)
  * phi, psi, t, s, pidx and cidx are overwritten as elimination permutes and
  * updates them.  LU is n x n and must hold zeros on entry; it receives L
  * strictly below the diagonal and U on and above it, and no other entry is
- * written.  u_scale is a power of two (see the top of the file).  Per step
- * k the trace arrays receive the pivot, its magnitude, v_kk (+inf where
- * |phi_k psi_k| is below v_floor) and the hatted L column norm and U row
- * norm, the latter times u_scale; hat_ratio[k] is written only when hat is
- * nonzero, in which case inv_gap is work space of n^2 + 3 alpha n doubles:
- * the reciprocal gaps times u_scale, then hat_ratio_step's columns.  panel
+ * written.  Per step k the trace arrays receive the pivot, its magnitude,
+ * v_kk (+inf where |phi_k psi_k| is below v_floor) and the hatted L column
+ * norm and U row norm; hat_ratio[k] is written only when hat is nonzero, in
+ * which case inv_gap is work space of n^2 + 3 alpha n doubles: the
+ * reciprocal gaps times u_scale, then hat_ratio_step's columns.  panel
  * holds n x panel_width complex values: column k of L is gathered there,
  * row by row, and copied into LU every panel_width steps.  work_c holds n
- * complex values, work_r 2n + 2 alpha doubles.  sums receives ||L||_F^2 - n
- * and (u_scale ||U||_F)^2 and, when a step fails, the largest candidate
- * magnitude of that step.
+ * complex values, work_r 2n + 2 alpha doubles.  norms receives ||L||_F and
+ * ||U||_F or, when a step fails, the largest candidate magnitude of that
+ * step in norms[2].
  *
  * Returns -1, or the step whose pivot magnitude is at most n eps times the
  * largest candidate examined there (the matrix is singular to working
  * precision).
  */
 ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, double eps,
-                        double v_floor, double u_scale, ptrdiff_t panel_width, cplx *phi,
-                        cplx *psi, cplx *t, cplx *s, cplx *LU, ptrdiff_t *pidx, ptrdiff_t *cidx,
+                        double v_floor, ptrdiff_t panel_width, cplx *phi, cplx *psi, cplx *t,
+                        cplx *s, cplx *LU, ptrdiff_t *pidx, ptrdiff_t *cidx,
                         ptrdiff_t *piv_index, unsigned char *piv_is_col, double *piv_mag,
                         cplx *v_kk, double *hat_ratio, double *hat_l, double *hat_u,
                         double *inv_gap, cplx *panel, cplx *work_c, double *work_r,
-                        double *sums)
+                        double *norms)
 {
+    double u_scale = pick_u_scale(n, alpha, phi, psi, t, s);
     elimination e = {
         .n = n, .alpha = alpha, .strategy = strategy, .eps = eps, .v_floor = v_floor,
         .u_scale = u_scale,
@@ -688,7 +712,7 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
         e.cols.fac_len = k;
         e.cols.line = LU + k * n;
         if (alpha == 2 ? step_rank2(&e, k) : step_any_rank(&e, k)) {
-            sums[2] = e.cand_max;
+            norms[2] = e.cand_max;
             return k;
         }
         if (c == panel_width - 1 || k == n - 1)
@@ -697,8 +721,8 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
                 memcpy(LU + j * n + k0, panel + j * panel_width, (size_t)width * sizeof(cplx));
             }
     }
-    sums[0] = e.rows.sq;
-    sums[1] = e.cols.sq;
+    norms[0] = sqrt((double)n + e.rows.sq);
+    norms[1] = sqrt(e.cols.sq) / u_scale;
     return -1;
 }
 

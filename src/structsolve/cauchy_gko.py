@@ -135,48 +135,46 @@ class GKOFactorization:
     @property
     def L(self) -> np.ndarray:
         """Unit lower triangular L, a new read-only array built from ``LU``."""
-        L = self._lower()
+        L = self._triangle(upper=False)
         L.flags.writeable = False
         return L
 
     @property
     def U(self) -> np.ndarray:
         """Upper triangular U, a new read-only array built from ``LU``."""
-        U = self._upper()
+        U = self._triangle(upper=True)
         U.flags.writeable = False
         return U
 
-    # Each factor is written one block of _SUB_BLOCK rows at a time: the
-    # part beside the diagonal block is copied from LU or zeroed in one
-    # slice, and the diagonal block is masked.  Building a factor allocates
-    # nothing but the factor: np.tril and np.triu allocate an n x n mask
-    # besides, 4 MB at n = 2048.  Slicing one row at a time took 2 to 3
-    # times as long at n = 256 and 1.3 to 1.5 times at n = 2048.
-    def _lower(self) -> np.ndarray:
-        LU, n = self.LU, self.n
-        L = np.empty((n, n), dtype=complex)
-        for lo in range(0, n, _SUB_BLOCK):
-            hi = min(lo + _SUB_BLOCK, n)
-            L[lo:hi, :hi] = LU[lo:hi, :hi]
-            L[lo:hi, hi:] = 0.0
-            L[lo:hi, lo:hi][_STRICT_LOWER.T[: hi - lo, : hi - lo]] = 0.0
-        np.fill_diagonal(L, 1.0)
-        return L
+    def _triangle(self, upper: bool) -> np.ndarray:
+        """U, or L with its unit diagonal, as a new array built from ``LU``.
 
-    def _upper(self) -> np.ndarray:
+        The factor is written one block of _SUB_BLOCK rows at a time: the
+        columns left of the diagonal block (right of it for L) are zeroed
+        in one slice, the others copied from LU in one, and the other
+        triangle of the diagonal block is masked.  Building a factor
+        allocates nothing but the factor: np.tril and np.triu allocate an
+        n x n mask besides, 4 MB at n = 2048.  Slicing one row at a time
+        took 2 to 3 times as long at n = 256 and 1.3 to 1.5 times at
+        n = 2048.
+        """
         LU, n = self.LU, self.n
-        U = np.empty((n, n), dtype=complex)
+        T = np.empty((n, n), dtype=complex)
+        mask = _STRICT_LOWER if upper else _STRICT_LOWER.T
         for lo in range(0, n, _SUB_BLOCK):
             hi = min(lo + _SUB_BLOCK, n)
-            U[lo:hi, :lo] = 0.0
-            U[lo:hi, lo:] = LU[lo:hi, lo:]
-            U[lo:hi, lo:hi][_STRICT_LOWER[: hi - lo, : hi - lo]] = 0.0
-        return U
+            cut = lo if upper else hi
+            T[lo:hi, :cut] = 0.0 if upper else LU[lo:hi, :cut]
+            T[lo:hi, cut:] = LU[lo:hi, cut:] if upper else 0.0
+            T[lo:hi, lo:hi][mask[: hi - lo, : hi - lo]] = 0.0
+        if not upper:
+            np.fill_diagonal(T, 1.0)
+        return T
 
     def reconstruct(self) -> np.ndarray:
         """Dense P^T L U P'^T, the matrix this factorization represents."""
-        L = self._lower()
-        product = L @ self._upper()
+        L = self._triangle(upper=False)
+        product = L @ self._triangle(upper=True)
         # L is not read again, so its buffer takes the permuted product
         L[np.ix_(self.row_perm.idx, np.argsort(self.col_perm.idx))] = product
         return L
@@ -217,7 +215,7 @@ _STRATEGY_CODES = {
 # dtypes of the kernel's array arguments, in order: phi, psi^T, t, s, LU;
 # pidx, cidx, pivot_index, pivot_is_col; pivot_magnitude, v_kk; hat_ratio,
 # hat_l_col, hat_u_row, the hat ratio's work; the L panel, complex and real
-# work space, and the norm sums
+# work space, and the norms
 _KERNEL_ARRAYS = (
     (complex,) * 5
     + (np.intp, np.intp, np.intp, np.bool_)
@@ -278,9 +276,8 @@ def _load_kernel(cache_dir=_KERNEL_SOURCE.parent / "__pycache__", compiler="cc",
     library = ctypes.CDLL(str(lib))
     size, flag, real, address = ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double, ctypes.c_void_p
     eliminate = library.gko_eliminate
-    # n, alpha, strategy, hat, eps, V floor, U scale, L panel width, then
-    # the arrays
-    eliminate.argtypes = [size, size, flag, flag, real, real, real, size]
+    # n, alpha, strategy, hat, eps, V floor, L panel width, then the arrays
+    eliminate.argtypes = [size, size, flag, flag, real, real, size]
     eliminate.argtypes += [address] * len(_KERNEL_ARRAYS)
     eliminate.restype = size
     solve_block = library.tri_block_solve
@@ -308,7 +305,11 @@ def gko_factor(
     n-row panel of ``_L_PANEL`` columns of L, 16 n ``_L_PANEL`` bytes (1 MB
     at n = 2048), and 32 n + 16 alpha bytes: one recovered column, the
     magnitudes of the recovered column and row, and those of the pivot's
-    generator rows.
+    generator rows.  The loop also returns ``norm_L``, ``norm_U`` and the
+    trace's hatted norms finished: it sums the squares of U's entries, and
+    of the hatted ones, times a power of two it picks from R's first column
+    and row, so that no square under- or overflows where the entry does
+    not, and divides the scale out of each root.
 
     Parameters
     ----------
@@ -353,7 +354,6 @@ def gko_factor(
     t = np.array(nodes.t, dtype=complex)
     s = np.array(nodes.s, dtype=complex)
     LU = np.zeros((n, n), dtype=complex)
-    u_scale = _u_scale(phi, psi_t, t, s)
     pidx = np.arange(n)
     cidx = np.arange(n)
     trace = GrowthTrace(
@@ -371,51 +371,31 @@ def gko_factor(
     panel = np.empty(n * _L_PANEL, dtype=complex)
     work_c = np.empty(n, dtype=complex)
     work_r = np.empty(2 * n + 2 * alpha)
-    sums = np.zeros(3)
+    norms = np.zeros(3)
     arrays = (
         phi, psi_t, t, s, LU,
         pidx, cidx, trace.pivot_index, trace.pivot_is_col,
         trace.pivot_magnitude, trace.v_kk,
         trace.hat_ratio, trace.hat_l_col, trace.hat_u_row, hat_work,
-        panel, work_c, work_r, sums,
+        panel, work_c, work_r, norms,
     )
     failed = _kernel(
         n, alpha, _STRATEGY_CODES[strategy], int(bool(hat_ratios)), EPS, V_DEGENERATE_FLOOR,
-        u_scale, _L_PANEL, *map(_address, arrays, _KERNEL_ARRAYS),
+        _L_PANEL, *map(_address, arrays, _KERNEL_ARRAYS),
     )
     if failed >= 0:
         raise SingularMatrixError(
             f"singular at step {failed}: pivot {trace.pivot_magnitude[failed]:.3e} "
-            f"below {n}*eps*{sums[2]:.3e}"
+            f"below {n}*eps*{norms[2]:.3e}"
         )
-    # the kernel sums U's squares, and the hatted ones, times u_scale
-    trace.hat_u_row /= u_scale
     return GKOFactorization(
         row_perm=Permutation(pidx),
         col_perm=Permutation(np.argsort(cidx)),
         LU=LU,
         trace=trace,
-        norm_L=float(np.sqrt(n + sums[0])),
-        norm_U=float(np.sqrt(sums[1]) / u_scale),
+        norm_L=float(norms[0]),
+        norm_U=float(norms[1]),
     )
-
-
-def _u_scale(phi: np.ndarray, psi_t: np.ndarray, t: np.ndarray, s: np.ndarray) -> float:
-    """A power of two near one over the largest entry of R's first column and row.
-
-    The kernel sums the squares of U's entries, and of the hatted ones, on
-    the entries times this scale, so that the sums neither underflow nor
-    overflow where the entries do not; dividing it out again is exact.  The
-    entries are formed elementwise, so that no BLAS call, nor any of its
-    threads, runs inside a factorization.  The scale is kept within
-    [2^-1021, 2^1021], so that it and its reciprocal are normal numbers.
-    """
-    with np.errstate(all="ignore"):
-        col = (phi * psi_t[0]).sum(axis=1) / (t - s[0])
-        row = (psi_t * phi[0]).sum(axis=1) / (t[0] - s)
-        top = max(np.abs(col).max(), np.abs(row).max())
-    exponent = int(np.frexp(top)[1]) if np.isfinite(top) else 0
-    return float(np.ldexp(1.0, -min(max(exponent, -1021), 1021)))
 
 
 def _substitute(T: np.ndarray, z: np.ndarray, upper: bool) -> None:
@@ -440,22 +420,45 @@ def _substitute(T: np.ndarray, z: np.ndarray, upper: bool) -> None:
         )
 
 
-def solve_with_factors(f: GKOFactorization, b) -> np.ndarray:
-    """Solve (P^T L U P'^T) x = b by permute, substitute twice, permute.
+def _solve_scaled(n: int, b, solve) -> np.ndarray:
+    """``solve`` applied to b scaled by a power of two, its result scaled back.
 
-    ``b`` is one right-hand side of shape (n,) or several as the columns of
-    an (n, m) array.  Both substitutions run over 64-row diagonal blocks:
-    a BLAS product against the part already solved, then a compiled
-    substitution through the block.
+    ``b`` must be one right-hand side of shape (n,) or several as the
+    columns of an (n, m) array, with finite entries.  ``solve`` gets b as a
+    new complex array times 2^-e, e the exponent of its largest real or
+    imaginary part kept within [-1021, 1021], and returns a new array that
+    is scaled back in place.  So b's own scale cannot overflow the solve,
+    and as a power of two scales exactly, x has the bits of the unscaled
+    solve wherever that stays in range.
+
+    Raises
+    ------
+    ValueError
+        When b has another shape, length or a non-finite entry, or when x
+        is not finite once scaled back: the solution overflows.
     """
-    n = f.n
     b = np.asarray(b, dtype=complex)
     if b.ndim not in (1, 2):
         raise ValueError(f"b must have shape (n,) or (n, m), got shape {b.shape}")
     if b.shape[0] != n:
         raise ValueError(f"factorization is order {n}, b has length {b.shape[0]}")
+    # checked before the solve: a Toeplitz transform would warn on an inf
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side b has non-finite entries")
+    # the parts, not |b|: a magnitude past 2^1024 / sqrt(2) would overflow
+    top = max(np.abs(b.real).max(initial=0.0), np.abs(b.imag).max(initial=0.0))
+    exponent = min(max(int(np.frexp(top)[1]), -1021), 1021)
+    x = solve(b * 2.0**-exponent)
+    with np.errstate(over="ignore"):
+        x *= 2.0**exponent
+    if not np.all(np.isfinite(x)):
+        raise ValueError("the solution overflows: an entry of x is past the float64 range")
+    return x
+
+
+def _permute_substitute(f: GKOFactorization, b: np.ndarray) -> np.ndarray:
+    """P'^T U^-1 L^-1 P b, a new array, for a checked complex b."""
+    n = f.n
     # the compiled block solve reads the factors through raw pointers
     LU = np.ascontiguousarray(f.LU, dtype=complex)
     if LU.shape != (n, n):
@@ -471,3 +474,17 @@ def solve_with_factors(f: GKOFactorization, b) -> np.ndarray:
     _substitute(LU, z, upper=False)
     _substitute(LU, z, upper=True)
     return z[f.col_perm.idx]
+
+
+def solve_with_factors(f: GKOFactorization, b) -> np.ndarray:
+    """Solve (P^T L U P'^T) x = b by permute, substitute twice, permute.
+
+    ``b`` is one right-hand side of shape (n,) or several as the columns of
+    an (n, m) array.  Both substitutions run over 64-row diagonal blocks:
+    a BLAS product against the part already solved, then a compiled
+    substitution through the block.  They run on b scaled by a power of
+    two near 1 / max|b|, and x is scaled back, so a large finite b solves
+    wherever x itself is in range; ``ValueError`` when it is not, or when b
+    is of another shape or not finite.
+    """
+    return _solve_scaled(f.n, b, lambda z: _permute_substitute(f, z))

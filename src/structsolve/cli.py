@@ -167,7 +167,8 @@ def _default_seed() -> int:
 
 
 def _solve_or_input_error(solve, f, b):
-    # the solvers reject a non-finite b with ValueError
+    # the solvers raise ValueError on a non-finite b and on a solution
+    # past the float64 range
     try:
         return solve(f, b)
     except ValueError as exc:
@@ -238,13 +239,16 @@ def _cmd_growth(args) -> int:
 
 def _cmd_sweep(args) -> int:
     strategies = args.strategy or ["partial", "row1col1"]
-    config = SweepConfig(
-        n=args.n,
-        delta_exponents=tuple(range(args.delta_exp_min, args.delta_exp_max + 1)),
-        strategies=tuple(strategies),
-        rhs=args.rhs,
-        seed=args.seed if args.seed is not None else _default_seed(),
-    )
+    try:
+        config = SweepConfig(
+            n=args.n,
+            delta_exponents=tuple(range(args.delta_exp_min, args.delta_exp_max + 1)),
+            strategies=tuple(strategies),
+            rhs=args.rhs,
+            seed=args.seed if args.seed is not None else _default_seed(),
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     result = run_sweep(config)
     if args.format == "csv":
         _write(records_to_csv(result.records), args.out)

@@ -25,8 +25,11 @@ def _order(n) -> int:
     """n as a Python int, refusing orders that are not positive integers.
 
     Any integer type passes through ``operator.index`` (``np.int64``
-    included); a float such as 2.5 is refused rather than truncated.
+    included); a float such as 2.5 is refused rather than truncated, and a
+    bool, which ``operator.index`` takes for 0 or 1, is refused too.
     """
+    if isinstance(n, bool):
+        raise ValueError(f"order must be an integer, got {n!r}")
     try:
         n = operator.index(n)
     except TypeError:

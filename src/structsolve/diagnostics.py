@@ -131,13 +131,8 @@ def _quadrature(v: np.ndarray) -> float:
 
 def _v_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Elementwise |phi||psi| / (phi psi); degenerate denominators go to inf."""
-    mag = np.abs(den)
-    if mag.min(initial=np.inf) >= V_DEGENERATE_FLOOR:
-        return num / den
     out = np.full(den.shape, np.inf + 0j, dtype=complex)
-    ok = mag >= V_DEGENERATE_FLOOR
-    out[ok] = num[ok] / den[ok]
-    return out
+    return np.divide(num, den, out=out, where=np.abs(den) >= V_DEGENERATE_FLOOR)
 
 
 def v_matrix(gen: GeneratorPair) -> np.ndarray:

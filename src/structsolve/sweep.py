@@ -28,6 +28,9 @@ from .toeplitz import toeplitz_factor, toeplitz_solve
 
 __all__ = ["SweepConfig", "SweepRecord", "SweepResult", "run_sweep", "records_to_csv"]
 
+#: the delta exponents k (delta = 10^-k) whose errors the summary regresses
+REGRESSION_EXPONENTS = (2, 6)
+
 CSV_COLUMNS = (
     "delta",
     "strategy",
@@ -51,11 +54,12 @@ class SweepConfig:
     strategies: tuple = (PivotStrategy.PARTIAL_ROW, PivotStrategy.ROW1_COL1)
     rhs: str = "ones"  # "ones": b = T @ 1 (exact solution all-ones); or "random"
     seed: int = 0
-    regression_exponents: tuple = (2, 6)
 
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError("sweep order must be even and at least 4")
+        if not self.delta_exponents:
+            raise ValueError("delta exponents must not be empty")
         if any(k <= 0 for k in self.delta_exponents):
             raise ValueError("delta exponents must be positive")
         if self.rhs not in ("ones", "random"):
@@ -128,7 +132,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     Records appear in delta-major, strategy-minor order and failures are
     recorded as rows (ok=False) without aborting the remaining cells.  The
     summary regresses log10 of forward error and residual against the delta
-    exponent k (delta = 10^-k) over ``regression_exponents``; since
+    exponent k (delta = 10^-k) over ``REGRESSION_EXPONENTS``; since
     log10(1/delta) = k these are the log-log slopes versus 1/delta.
     """
     records = []
@@ -158,7 +162,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 rec.error = str(exc)
             records.append(rec)
 
-    lo, hi = config.regression_exponents
+    lo, hi = REGRESSION_EXPONENTS
     window = [k for k in config.delta_exponents if lo <= k <= hi]
     summary = {"regression_exponents": list(window), "strategies": {}}
     for strategy in config.strategies:

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy_gko import GKOFactorization, PivotStrategy, gko_factor, solve_with_factors
+from .cauchy_gko import (
+    GKOFactorization,
+    PivotStrategy,
+    _permute_substitute,
+    _solve_scaled,
+    gko_factor,
+)
 from .core import GeneratorPair, ToeplitzCoeffs
 from .dft import DftPlan, apply_F, apply_F_inv, scaling_D, toeplitz_cauchy_nodes
 
@@ -96,20 +102,19 @@ def toeplitz_solve(f: ToeplitzFactorization, b) -> np.ndarray:
 
     ``b`` is one right-hand side of shape (n,) or several as the columns of
     an (n, m) array.  The result is complex; for real systems its imaginary
-    part is rounding-level and is left to the caller to drop.
+    part is rounding-level and is left to the caller to drop.  As in
+    ``solve_with_factors``, the transforms and substitutions run on b scaled
+    by a power of two near 1 / max|b| and x is scaled back; ``ValueError``
+    when x is past the float64 range, or b is of another shape or not finite.
     """
-    b = np.asarray(b, dtype=complex)
-    if b.ndim not in (1, 2):
-        raise ValueError(f"b must have shape (n,) or (n, m), got shape {b.shape}")
-    if b.shape[0] != f.n:
-        raise ValueError(f"factorization is order {f.n}, b has length {b.shape[0]}")
-    # checked before the transform, which would warn on an infinite entry
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side b has non-finite entries")
-    y = solve_with_factors(f.inner, apply_F(f.plan, b))
-    # x = D^* F^* y; D is unit-modulus so its inverse is the conjugate
-    d_inv = np.conj(f.d) if b.ndim == 1 else np.conj(f.d)[:, None]
-    return d_inv * apply_F_inv(f.plan, y)
+
+    def solve(b):
+        y = _permute_substitute(f.inner, apply_F(f.plan, b))
+        # x = D^* F^* y; D is unit-modulus so its inverse is the conjugate
+        d_inv = np.conj(f.d) if b.ndim == 1 else np.conj(f.d)[:, None]
+        return d_inv * apply_F_inv(f.plan, y)
+
+    return _solve_scaled(f.n, b, solve)
 
 
 def toeplitz_displacement(c: ToeplitzCoeffs) -> np.ndarray:

@@ -90,7 +90,6 @@ def _sweep(strategy):
         delta_exponents=tuple(range(2, 7)),
         strategies=(strategy,),
         rhs="ones",
-        regression_exponents=(2, 6),
     )
     return ss.run_sweep(config)
 

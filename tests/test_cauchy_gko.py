@@ -503,6 +503,14 @@ def test_solve_rejects_non_finite_rhs(shape, bad):
         ss.solve_with_factors(f, b)
 
 
+def test_solve_with_a_solution_past_the_float64_range_raises():
+    # max |x| is 2^1024.06: the solve is finite on the scaled b, and only
+    # scaling back overflows
+    f = ss.gko_factor(*ss.random_cauchy_type(16, 2, seed=3), "partial")
+    with pytest.raises(ValueError, match="solution overflows"):
+        ss.solve_with_factors(f, np.full(16, 5e307))
+
+
 @pytest.mark.parametrize("k", [B + 8, 3 * B + 3], ids=["middle-block", "last-block"])
 def test_solve_zero_diagonal_in_later_block_raises(k, monkeypatch):
     n = 3 * B + 4

@@ -78,6 +78,18 @@ def test_plan_order_must_be_an_integer():
             order_fn(2.5)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "order_fn",
+    [ss.DftPlan.create, ss.scaling_D, ss.toeplitz_cauchy_nodes],
+    ids=["DftPlan.create", "scaling_D", "toeplitz_cauchy_nodes"],
+)
+def test_order_refuses_a_bool(order_fn, flag):
+    # operator.index takes True for 1 and False for 0
+    with pytest.raises(ValueError, match=f"integer, got {flag}"):
+        order_fn(flag)
+
+
 def test_zero_dimensional_input_raises():
     plan = ss.DftPlan.create(4)
     for apply in (ss.apply_F, ss.apply_F_inv):

@@ -69,6 +69,8 @@ def test_sweep_config_validation():
         ss.SweepConfig(delta_exponents=(0, 1))
     with pytest.raises(ValueError):
         ss.SweepConfig(rhs="zeros")
+    with pytest.raises(ValueError, match="empty"):
+        ss.SweepConfig(delta_exponents=())
 
 
 def _write_json(path, doc):
@@ -163,6 +165,19 @@ def test_cli_solve_non_finite_rhs(tmp_path, capsys, kind):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "input error: right-hand side b has non-finite entries" in captured.err
+
+
+def test_cli_solve_with_a_solution_past_the_float64_range(tmp_path, capsys):
+    # max |x| is about 2^1029; the solve used to warn and report a singular
+    # system (exit 3)
+    doc = {
+        "cauchy": {"t": [1, 2, 3], "s": [-1, -2, -3], "phi": [[1], [1], [1]], "psi": [[1, 1, 1]]},
+        "b": [1e308] * 3,
+    }
+    assert cli.main(["solve", _write_json(tmp_path / "large.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: the solution overflows" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -340,3 +355,19 @@ def test_cli_sweep_byte_identical_runs(tmp_path):
     assert cli.main(args + ["--out", str(p1)]) == 0
     assert cli.main(args + ["--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n", "5"], "sweep order must be even and at least 4"),
+        (["--delta-exp-min", "0"], "delta exponents must be positive"),
+        (["--delta-exp-min", "5", "--delta-exp-max", "2"], "delta exponents must not be empty"),
+    ],
+    ids=["odd-order", "zero-exponent", "empty-range"],
+)
+def test_cli_sweep_input_errors(tmp_path, capsys, args, message):
+    out_path = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *args, "--out", str(out_path)]) == 2
+    assert f"structsolve: input error: {message}" in capsys.readouterr().err
+    assert not out_path.exists()

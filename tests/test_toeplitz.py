@@ -190,6 +190,17 @@ def test_solve_rejects_non_finite_rhs(shape, bad):
         ss.toeplitz_solve(f, b)
 
 
+def test_solve_large_finite_rhs_with_a_representable_solution():
+    # sqrt(n) in the transform overflowed on b itself; the solve runs on b
+    # scaled by a power of two, so x is the solve of b 2^-1024 times 2^1024
+    f = ss.toeplitz_factor(ss.random_toeplitz(16, seed=1), "partial")
+    b = np.full(16, 3e307)
+    x = ss.toeplitz_solve(f, b)
+    small = ss.toeplitz_solve(f, b * 2.0**-1024)
+    assert x.tobytes() == (small * 2.0**512 * 2.0**512).tobytes()
+    assert 1023 < np.log2(np.abs(x).max()) < 1024
+
+
 def test_displacement_identity_toeplitz():
     coeffs = _identity_coeffs(4)
     gen = ss.toeplitz_generators(coeffs)
