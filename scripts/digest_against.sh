@@ -9,8 +9,9 @@
 # tree is digested as it stands, uncommitted edits included.  When they
 # differ, the diff is followed by one line per digest column (pivot,
 # factors, non-hat, full) counting the lines on which that column differs,
-# so a change that should move only the hat ratio shows the first three at
-# 0, and one that should move only the lane-summed norms the first two.
+# so a change that should move only the hat ratio or the hatted norms shows
+# the first three at 0, and one that should move norm_L or norm_U the first
+# two.
 # Exits 0 when the outputs are identical, 1 when they differ and 2 on a
 # usage or setup error.  The temporary directory is removed on exit.
 set -euo pipefail

@@ -14,17 +14,20 @@ pivot digest covers ``pivot_index``, ``pivot_is_col``, ``row_perm`` and
 three.  The factors digest covers L, U, ``row_perm``, ``col_perm`` and the
 trace fields named in ``FACTOR_TRACE_FIELDS`` (``pivot_index``,
 ``pivot_is_col``, ``pivot_magnitude``, ``v_kk``): everything a step
-computes entry by entry, so a change that only sums the hatted norms or
-``norm_L`` and ``norm_U`` in another order keeps it and moves the last
-two.  The full digest covers L, U, ``row_perm``, ``col_perm``, ``norm_L``,
-``norm_U``, the ``GrowthTrace`` fields named in ``TRACE_FIELDS``, every
-``growth_report`` field and ``v_matrix`` of the factored generators.  The trace fields are a
+computes entry by entry, so a change that only sums ``norm_L`` and
+``norm_U`` in another order keeps it and moves the last two.  The full
+digest covers L, U, ``row_perm``, ``col_perm``, ``norm_L``, ``norm_U``, the
+``GrowthTrace`` fields named in ``TRACE_FIELDS``, every ``growth_report``
+field and ``v_matrix`` of the factored generators.  The trace fields are a
 fixed list, not whatever the trace holds, so that a copy run in an older
-checkout, whose trace has more fields, digests the same values as here.
-The non-hat digest covers the same except ``hat_ratio`` and the four report
-fields computed from it (g2, g3, ``bound_cauchy`` and ``bound_toeplitz``),
-so a change that only rounds the hatted norm ratio differently differs only
-in the full digest, and only on lines that computed hat ratios.  The corpus
+or newer checkout digests the same values as here.  The hatted norms
+``norm_Lhat`` and ``norm_Uhat`` enter only through the report's
+``hatL_ratio`` and ``hatU_ratio``, which every checkout has.  The non-hat
+digest covers the same as the full one except ``hat_ratio``, the hatted
+norm ratios, and the report fields computed from them (``HAT_REPORT_FIELDS``:
+``hatL_ratio``, ``hatU_ratio``, g1, g2, g3, ``bound_cauchy`` and
+``bound_toeplitz``), so a change that only rounds the hat ratio or the
+hatted norms differently differs only in the full digest.  The corpus
 is 149 instances under each of the strategies none, partial and row1col1
 (447 factorizations):
 
@@ -119,15 +122,14 @@ TRACE_FIELDS = (
     "pivot_magnitude",
     "v_kk",
     "hat_ratio",
-    "hat_l_col",
-    "hat_u_row",
-    "hat_ratios_computed",
 )
 # the trace fields of the factors digest, in this order
 FACTOR_TRACE_FIELDS = ("pivot_index", "pivot_is_col", "pivot_magnitude", "v_kk")
 # the trace field and report fields left out of the non-hat digest
 HAT_TRACE_FIELD = "hat_ratio"
-HAT_REPORT_FIELDS = ("g2", "g3", "bound_cauchy", "bound_toeplitz")
+HAT_REPORT_FIELDS = (
+    "hatL_ratio", "hatU_ratio", "g1", "g2", "g3", "bound_cauchy", "bound_toeplitz"
+)
 
 
 def digest(gen, nodes, strategy, hat_ratios) -> str:
@@ -143,13 +145,13 @@ def digest(gen, nodes, strategy, hat_ratios) -> str:
         _update(factors, value)
     for name in FACTOR_TRACE_FIELDS:
         _update(factors, getattr(f.trace, name))
-    # every value goes into the full digest, and all but the hat-ratio ones
+    # every value goes into the full digest, and all but the hatted ones
     # into the non-hat digest as well, in the same order
     full, non_hat = hashlib.sha256(), hashlib.sha256()
 
-    def add(value, from_hat_ratio=False) -> None:
+    def add(value, hatted=False) -> None:
         _update(full, value)
-        if not from_hat_ratio:
+        if not hatted:
             _update(non_hat, value)
 
     for value in (f.L, f.U, f.row_perm, f.col_perm, np.float64(f.norm_L), np.float64(f.norm_U)):

@@ -51,17 +51,19 @@
  *    step, the only one with an AVX2 clone.  Only the lane-summed norms
  *    differ from one running sum over the entries, at rounding level.
  *
- * Besides the factors, a step records only what the growth report reads:
- * the pivot, v_kk, the hatted norms of the new L column and U row and, when
- * asked, the hat ratio.  The entries of U and the hatted entries of U and
- * of the hat ratio scale with the generators, so their squares are summed
- * on the entries times u_scale, a power of two that gko_eliminate picks
- * near one over the largest entry of R's first column and row (see
- * pick_u_scale): the squares then neither underflow nor overflow where the
- * entries themselves do not.  Scaling by a power of two is exact, so in
- * range the sums are the plain ones times u_scale^2, and the norms the
- * kernel returns, with u_scale divided out, have the bits of the plain
- * ones.
+ * Besides the factors, a step records only what the growth report reads
+ * per step: the pivot, v_kk and, when asked, the hat ratio.  It adds the
+ * squares of its entries of L and U, and of their hatted entries, to four
+ * running sums, from which gko_eliminate returns ||L||_F, ||U||_F,
+ * ||Lhat||_F and ||Uhat||_F finished.  The entries of U and the hatted
+ * entries of U and of the hat ratio scale with the generators, so their
+ * squares are summed on the entries times u_scale, a power of two that
+ * gko_eliminate picks near one over the largest entry of R's first column
+ * and row (see pick_u_scale): the squares then neither underflow nor
+ * overflow where the entries themselves do not.  Scaling by a power of two
+ * is exact, so in range the sums are the plain ones times u_scale^2, and
+ * the norms the kernel returns, with u_scale divided out, have the bits of
+ * the plain ones.
  */
 
 #include <math.h>
@@ -358,7 +360,7 @@ typedef struct {
     ptrdiff_t lead, step;  /* line j of fac and of inv_gap starts at j lead,
                             * its entries step apart */
     ptrdiff_t fac_len, panel_lead, panel_len; /* finished entries a line */
-    double *hat;           /* per-step hatted norm */
+    double hat_sq;         /* running ||Lhat||_F^2 or (u_scale ||Uhat||_F)^2 */
     double sq;             /* running ||L||_F^2 - n or (u_scale ||U||_F)^2 */
 } side;
 
@@ -481,14 +483,15 @@ static void exact_sums(ptrdiff_t alpha, int rows, ptrdiff_t n, ptrdiff_t from,
 }
 
 /* Hatted norm, factor norm and Schur update of side a past the pivot u_kk,
- * b being the other side; rows says which side a is.  hat_sq arrives
- * holding the diagonal's squared hatted entry, times u_scale^2 on the
- * columns.  The sums read the generators before the update
+ * b being the other side; rows says which side a is.  diag_sq is the
+ * diagonal's squared hatted entry, times u_scale^2 on the columns, and the
+ * step adds it and the squared hatted entries past the pivot to a->hat_sq.
+ * The sums read the generators before the update
  *   gen_j <- gen_j - (line_j / u_kk) gen_k,
  * which also gathers L's new column in the panel. */
 static ALWAYS_INLINE void update(ptrdiff_t alpha, int rows, side *a, const side *b,
                                  ptrdiff_t n, ptrdiff_t k, cplx u_kk, double u_scale,
-                                 double hat_sq)
+                                 double diag_sq)
 {
     const cplx *restrict gen_k = a->gen + k * alpha;
     cplx *restrict gen = a->gen, *restrict panel = a->panel;
@@ -509,8 +512,7 @@ static ALWAYS_INLINE void update(ptrdiff_t alpha, int rows, side *a, const side 
     }
     exact_sums(alpha, rows, n, j, gen, b->gen_abs, a->node, b->node[k], line, by, scale, hat,
                fac);
-    /* U's hatted entries were summed times u_scale */
-    a->hat[k] = sqrt(hat_sq + lane_total(hat)) / (rows ? 1.0 : u_scale);
+    a->hat_sq += diag_sq + lane_total(hat);
     a->sq += lane_total(fac);
 
     NO_OVERLAP
@@ -663,16 +665,17 @@ static double pick_u_scale(ptrdiff_t n, ptrdiff_t alpha, const cplx *phi, const 
  * phi, psi, t, s, pidx and cidx are overwritten as elimination permutes and
  * updates them.  LU is n x n and must hold zeros on entry; it receives L
  * strictly below the diagonal and U on and above it, and no other entry is
- * written.  Per step k the trace arrays receive the pivot, its magnitude,
- * v_kk (+inf where |phi_k psi_k| is below v_floor) and the hatted L column
- * norm and U row norm; hat_ratio[k] is written only when hat is nonzero, in
- * which case inv_gap is work space of n^2 + 3 alpha n doubles: the
- * reciprocal gaps times u_scale, then hat_ratio_step's columns.  panel
- * holds n x panel_width complex values: column k of L is gathered there,
- * row by row, and copied into LU every panel_width steps.  work_c holds n
- * complex values, work_r 2n + 2 alpha doubles.  norms receives ||L||_F and
- * ||U||_F or, when a step fails, the largest candidate magnitude of that
- * step in norms[2].
+ * written.  Per step k the trace arrays receive the pivot, its magnitude
+ * and v_kk (+inf where |phi_k psi_k| is below v_floor); hat_ratio[k] is
+ * written only when hat is nonzero, in which case inv_gap is work space of
+ * n^2 + 3 alpha n doubles: the reciprocal gaps times u_scale, then
+ * hat_ratio_step's columns.  panel holds n x panel_width complex values:
+ * column k of L is gathered there, row by row, and copied into LU every
+ * panel_width steps.  work_c holds n complex values, work_r 2n + 2 alpha
+ * doubles.  norms receives ||L||_F, ||U||_F, ||Lhat||_F and ||Uhat||_F, the
+ * Frobenius norms of the factors and of their hatted entries (L's and U's
+ * entries times V's, in magnitude) or, when a step fails, the largest
+ * candidate magnitude of that step in norms[4].
  *
  * Returns -1, or the step whose pivot magnitude is at most n eps times the
  * largest candidate examined there (the matrix is singular to working
@@ -682,9 +685,8 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
                         double v_floor, ptrdiff_t panel_width, cplx *phi, cplx *psi, cplx *t,
                         cplx *s, cplx *LU, ptrdiff_t *pidx, ptrdiff_t *cidx,
                         ptrdiff_t *piv_index, unsigned char *piv_is_col, double *piv_mag,
-                        cplx *v_kk, double *hat_ratio, double *hat_l, double *hat_u,
-                        double *inv_gap, cplx *panel, cplx *work_c, double *work_r,
-                        double *norms)
+                        cplx *v_kk, double *hat_ratio, double *inv_gap, cplx *panel,
+                        cplx *work_c, double *work_r, double *norms)
 {
     double u_scale = pick_u_scale(n, alpha, phi, psi, t, s);
     elimination e = {
@@ -694,9 +696,9 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
         .piv_index = piv_index, .piv_is_col = piv_is_col, .piv_mag = piv_mag, .v_kk = v_kk,
         .rows = {.node = t, .gen = phi, .line = work_c, .mag = work_r,
                  .gen_abs = work_r + 2 * n, .idx = pidx, .fac = LU, .panel = panel,
-                 .lead = n, .step = 1, .panel_lead = panel_width, .hat = hat_l},
+                 .lead = n, .step = 1, .panel_lead = panel_width},
         .cols = {.node = s, .gen = psi, .mag = work_r + n, .gen_abs = work_r + 2 * n + alpha,
-                 .idx = cidx, .fac = LU, .lead = 1, .step = n, .hat = hat_u},
+                 .idx = cidx, .fac = LU, .lead = 1, .step = n},
     };
 
     if (hat)
@@ -712,7 +714,7 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
         e.cols.fac_len = k;
         e.cols.line = LU + k * n;
         if (alpha == 2 ? step_rank2(&e, k) : step_any_rank(&e, k)) {
-            norms[2] = e.cand_max;
+            norms[4] = e.cand_max;
             return k;
         }
         if (c == panel_width - 1 || k == n - 1)
@@ -723,6 +725,8 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
     }
     norms[0] = sqrt((double)n + e.rows.sq);
     norms[1] = sqrt(e.cols.sq) / u_scale;
+    norms[2] = sqrt(e.rows.hat_sq);
+    norms[3] = sqrt(e.cols.hat_sq) / u_scale;
     return -1;
 }
 

@@ -82,15 +82,12 @@ class PivotStrategy(enum.Enum):
 class GrowthTrace:
     """Per-elimination-step record of generator-growth quantities.
 
-    It holds what ``growth_report`` reads.  ``v_kk[k]`` is the step-k V entry
-    on the diagonal, |phi_k||psi_k| / (phi_k psi_k), and +inf where
-    |phi_k psi_k| is below ``V_DEGENERATE_FLOOR``; its largest magnitude is a
-    term of g1.  ``hat_ratio[k]`` is ||V(k) o R_k||_F / ||R_k||_F, the step-k
-    hatted norm ratio feeding the g2 growth factor (NaN where not computed).
-    The ``hat_l_col`` / ``hat_u_row`` entries are the norms of the step-k
-    column of L and row of U weighted elementwise by the step-k V column and
-    row: summed in quadrature over k they give ||Lhat|| and ||Uhat|| without
-    ever storing a V matrix.
+    It holds what the growth report, the CLI or the benchmark reads, step by
+    step.  ``v_kk[k]`` is the step-k V entry on the diagonal,
+    |phi_k||psi_k| / (phi_k psi_k), and +inf where |phi_k psi_k| is below
+    ``V_DEGENERATE_FLOOR``; its largest magnitude is a term of g1.
+    ``hat_ratio[k]`` is ||V(k) o R_k||_F / ||R_k||_F, the step-k hatted norm
+    ratio feeding the g2 growth factor, and NaN where it was not computed.
     """
 
     pivot_index: np.ndarray
@@ -98,9 +95,6 @@ class GrowthTrace:
     pivot_magnitude: np.ndarray
     v_kk: np.ndarray
     hat_ratio: np.ndarray
-    hat_l_col: np.ndarray
-    hat_u_row: np.ndarray
-    hat_ratios_computed: bool
 
     @property
     def n(self) -> int:
@@ -118,7 +112,10 @@ class GKOFactorization:
     both factors in one n x n array, as LAPACK's xGETRF stores them: L
     strictly below the diagonal, its unit diagonal implied, and U on and
     above it.  ``norm_L`` and ``norm_U`` are the Frobenius norms of L and U,
-    accumulated during elimination.
+    and ``norm_Lhat`` and ``norm_Uhat`` those of Lhat and Uhat, the factors
+    weighted entrywise by the V entries of the step that wrote them
+    (|v_jk l_jk| and |v_kj u_kj|), all accumulated during elimination; no V
+    matrix is ever stored.
     """
 
     row_perm: Permutation
@@ -127,6 +124,8 @@ class GKOFactorization:
     trace: GrowthTrace
     norm_L: float
     norm_U: float
+    norm_Lhat: float
+    norm_Uhat: float
 
     @property
     def n(self) -> int:
@@ -213,14 +212,13 @@ _STRATEGY_CODES = {
 
 
 # dtypes of the kernel's array arguments, in order: phi, psi^T, t, s, LU;
-# pidx, cidx, pivot_index, pivot_is_col; pivot_magnitude, v_kk; hat_ratio,
-# hat_l_col, hat_u_row, the hat ratio's work; the L panel, complex and real
-# work space, and the norms
+# pidx, cidx, pivot_index, pivot_is_col; pivot_magnitude, v_kk; hat_ratio
+# and its work; the L panel, complex and real work space, and the norms
 _KERNEL_ARRAYS = (
     (complex,) * 5
     + (np.intp, np.intp, np.intp, np.bool_)
     + (float, complex)
-    + (float, float, float, float)
+    + (float, float)
     + (complex, complex, float, float)
 )
 
@@ -305,11 +303,11 @@ def gko_factor(
     n-row panel of ``_L_PANEL`` columns of L, 16 n ``_L_PANEL`` bytes (1 MB
     at n = 2048), and 32 n + 16 alpha bytes: one recovered column, the
     magnitudes of the recovered column and row, and those of the pivot's
-    generator rows.  The loop also returns ``norm_L``, ``norm_U`` and the
-    trace's hatted norms finished: it sums the squares of U's entries, and
-    of the hatted ones, times a power of two it picks from R's first column
-    and row, so that no square under- or overflows where the entry does
-    not, and divides the scale out of each root.
+    generator rows.  The loop also returns ``norm_L``, ``norm_U``,
+    ``norm_Lhat`` and ``norm_Uhat`` finished: it sums the squares of U's
+    entries, and of the hatted ones, times a power of two it picks from R's
+    first column and row, so that no square under- or overflows where the
+    entry does not, and divides the scale out of each root.
 
     Parameters
     ----------
@@ -324,9 +322,11 @@ def gko_factor(
     hat_ratios :
         Whether to record the O(n^2)-per-step hatted norm ratio in the
         trace; "auto" enables it for n <= 256, and any other string raises
-        ``ValueError``.  When on, the factorization holds the reciprocal node
-        gaps 1/|t_i - s_j| and a split copy of psi's columns, 8 n^2 + 24
-        alpha n bytes (0.5 MB at n = 256, 8.4 MB at n = 1024).
+        ``ValueError``.  When off, ``trace.hat_ratio`` is NaN throughout,
+        and so is the g2 that ``growth_report`` reads from it.  When on,
+        the factorization holds the reciprocal node gaps 1/|t_i - s_j| and
+        a split copy of psi's columns, 8 n^2 + 24 alpha n bytes (0.5 MB at
+        n = 256, 8.4 MB at n = 1024).
 
     Raises
     ------
@@ -362,21 +362,18 @@ def gko_factor(
         pivot_magnitude=np.zeros(n),
         v_kk=np.zeros(n, dtype=complex),
         hat_ratio=np.full(n, np.nan),
-        hat_l_col=np.zeros(n),
-        hat_u_row=np.zeros(n),
-        hat_ratios_computed=bool(hat_ratios),
     )
     # the reciprocal node gaps, then the hat ratio's copy of psi's columns
     hat_work = np.empty(n * n + 3 * alpha * n if hat_ratios else 0)
     panel = np.empty(n * _L_PANEL, dtype=complex)
     work_c = np.empty(n, dtype=complex)
     work_r = np.empty(2 * n + 2 * alpha)
-    norms = np.zeros(3)
+    norms = np.zeros(5)
     arrays = (
         phi, psi_t, t, s, LU,
         pidx, cidx, trace.pivot_index, trace.pivot_is_col,
         trace.pivot_magnitude, trace.v_kk,
-        trace.hat_ratio, trace.hat_l_col, trace.hat_u_row, hat_work,
+        trace.hat_ratio, hat_work,
         panel, work_c, work_r, norms,
     )
     failed = _kernel(
@@ -386,7 +383,7 @@ def gko_factor(
     if failed >= 0:
         raise SingularMatrixError(
             f"singular at step {failed}: pivot {trace.pivot_magnitude[failed]:.3e} "
-            f"below {n}*eps*{norms[2]:.3e}"
+            f"below {n}*eps*{norms[4]:.3e}"
         )
     return GKOFactorization(
         row_perm=Permutation(pidx),
@@ -395,6 +392,8 @@ def gko_factor(
         trace=trace,
         norm_L=float(norms[0]),
         norm_U=float(norms[1]),
+        norm_Lhat=float(norms[2]),
+        norm_Uhat=float(norms[3]),
     )
 
 

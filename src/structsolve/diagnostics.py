@@ -114,21 +114,6 @@ def _check_orders(n: int, **orders: int) -> None:
             raise ValueError(f"factorization is order {n}, {name} order {m}")
 
 
-def _quadrature(v: np.ndarray) -> float:
-    """sqrt(sum(v**2)) for nonnegative v, summed on v scaled by a power of two
-    near 1 / max(v) so that no square under- or overflows.
-
-    The scaling is exact, so where no square of the plain sum leaves the
-    normal range the result has its bits; ``_norm`` would not keep them, as
-    ``np.linalg.norm`` sums in another order.
-    """
-    top = float(np.max(v, initial=0.0))
-    if top == 0.0 or not np.isfinite(top):
-        return float(np.sqrt(np.sum(v**2)))
-    exponent = int(np.frexp(top)[1])
-    return float(np.ldexp(np.sqrt(np.sum(np.ldexp(v, -exponent) ** 2)), exponent))
-
-
 def _v_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Elementwise |phi||psi| / (phi psi); degenerate denominators go to inf."""
     out = np.full(den.shape, np.inf + 0j, dtype=complex)
@@ -152,25 +137,21 @@ def growth_report(
     """Assemble the growth factors and bounds from a factorization trace.
 
     g2 needs the per-step hatted norm ratios; when the factorization skipped
-    them (large n), g2 and every quantity derived from it are NaN.
+    them (large n), g2 and every quantity derived from it are NaN.  At n = 1
+    there is no step 2, and g2 is 0.
     """
     n = f.n
     _check_orders(n, trace=trace.n, nodes=nodes.n)
     norm_l, norm_u = f.norm_L, f.norm_U
-    hat_l = _quadrature(trace.hat_l_col)
-    hat_u = _quadrature(trace.hat_u_row)
-    hatL_ratio = hat_l / norm_l
-    hatU_ratio = hat_u / norm_u
+    hatL_ratio = f.norm_Lhat / norm_l
+    hatU_ratio = f.norm_Uhat / norm_u
     # operator norm of diag{v_kk}: the constant that bounds ||L diag U||
     v_kk_norm = float(np.max(np.abs(trace.v_kk)))
     g1 = hatL_ratio + hatU_ratio + v_kk_norm
 
-    if not trace.hat_ratios_computed:
-        g2 = np.nan
-    elif n < 2:
-        g2 = 0.0
-    else:
-        g2 = float(np.max(trace.hat_ratio[1:]))
+    # np.max propagates a NaN, so g2 is NaN where the ratios were skipped,
+    # and with no step 2 (n = 1) it is the initial 0
+    g2 = float(np.max(trace.hat_ratio[1:], initial=0.0))
     g3 = max(g1, g2) if not np.isnan(g2) else np.nan
 
     gap_min, gap_max = nodes.gap_extrema
@@ -298,8 +279,14 @@ def _solve_errors(A: np.ndarray, b, x_tilde) -> BackwardErrorReport:
     an exactly zero pivot, or its solution is not finite, the system is
     singular to working precision and ``SingularMatrixError`` is raised.
     For b = 0 both errors are 0 when x is exactly zero, NaN when x has a NaN
-    entry, and inf otherwise, however small x is.
+    entry, and inf otherwise, however small x is.  b and x must have the
+    same shape: a column against a vector would broadcast to a matrix and
+    give a wrong number, so it raises ``ValueError``.
     """
+    if np.shape(b) != np.shape(x_tilde):
+        raise ValueError(
+            f"b has shape {np.shape(b)} and x shape {np.shape(x_tilde)}: they must match"
+        )
     residual = _relative(_norm(A @ x_tilde - b), _norm(b))
     try:
         x_ref = np.linalg.solve(A, b)

@@ -62,8 +62,15 @@ class SweepConfig:
             raise ValueError("delta exponents must not be empty")
         if any(k <= 0 for k in self.delta_exponents):
             raise ValueError("delta exponents must be positive")
+        # delta = 10^-k is 0 from k = 324 on; capped, a huge k cannot
+        # overflow the conversion to float
+        if any(10.0 ** -min(k, 400) == 0.0 for k in self.delta_exponents):
+            raise ValueError("delta exponents must be at most 323: delta = 10^-k rounds to 0")
         if self.rhs not in ("ones", "random"):
             raise ValueError(f"rhs must be 'ones' or 'random', got {self.rhs!r}")
+        # refused under either rhs: a negative seed is invalid input either way
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(
             self,
             "strategies",

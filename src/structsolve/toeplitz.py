@@ -25,6 +25,7 @@ from .cauchy_gko import (
 )
 from .core import GeneratorPair, ToeplitzCoeffs
 from .dft import DftPlan, apply_F, apply_F_inv, scaling_D, toeplitz_cauchy_nodes
+from .oracle import dense_toeplitz
 
 __all__ = [
     "ToeplitzFactorization",
@@ -119,9 +120,7 @@ def toeplitz_solve(f: ToeplitzFactorization, b) -> np.ndarray:
 
 def toeplitz_displacement(c: ToeplitzCoeffs) -> np.ndarray:
     """Dense displacement Z_1 T - T Z_-1 (rank at most 2), for testing."""
-    n = c.n
-    i = np.arange(n)
-    T = c.a[(i[:, None] - i[None, :]) + n - 1]
+    T = dense_toeplitz(c)
     # Z_1 T cycles the rows down (last row wraps to the top with sign +1);
     # T Z_-1 shifts the columns left with the first column wrapping negated.
     zt = np.roll(T, 1, axis=0)

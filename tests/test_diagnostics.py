@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import structsolve as ss
+from structsolve.diagnostics import _solve_errors
 
 
 def test_v_matrix_rank_one_has_unit_modulus():
@@ -90,6 +91,18 @@ def test_growth_report_nan_g2_when_ratios_skipped():
     rep = ss.growth_report(f.trace, f, nodes)
     assert np.isnan(rep.g2) and np.isnan(rep.g3)
     assert np.isfinite(rep.g1)
+
+
+@pytest.mark.parametrize("hat_ratios", [True, False])
+def test_growth_report_order_one_g2_is_zero(hat_ratios):
+    # g2 is the largest hat ratio over steps 2..n, and at n = 1 there is no
+    # step 2, whether the ratios were computed or not
+    gen = ss.GeneratorPair(phi=np.ones((1, 1)), psi=np.ones((1, 1)))
+    nodes = ss.CauchyNodes(t=[3.0], s=[1.0])
+    f = ss.gko_factor(gen, nodes, "partial", hat_ratios=hat_ratios)
+    rep = ss.growth_report(f.trace, f, nodes)
+    assert rep.g2 == 0.0 and rep.g3 == rep.g1
+    assert np.isfinite(rep.bound_cauchy) and np.isfinite(rep.bound_toeplitz)
 
 
 def test_backward_error_cauchy_exact_dyadic_case():
@@ -344,3 +357,35 @@ def test_solve_quality_nan_answer_reads_nan_whatever_the_rhs(b):
     x_tilde = np.array([1.0, np.nan, 0.0, 0.0])
     rep = ss.solve_quality(coeffs, b, x_tilde)
     assert np.isnan(rep.residual) and np.isnan(rep.forward_err)
+
+
+@pytest.mark.parametrize("column", ["x", "b"])
+def test_solve_quality_refuses_a_column_against_a_vector(column):
+    # (8, 1) - (8,) would broadcast to an 8 x 8 array and read a forward
+    # error of order one for a solution correct to rounding
+    coeffs = ss.random_toeplitz(8, seed=1)
+    b = np.ones(8)
+    x = ss.toeplitz_solve(ss.toeplitz_factor(coeffs, "partial"), b)
+    assert ss.solve_quality(coeffs, b, x).forward_err <= 1e-13
+    if column == "x":
+        x = x[:, None]
+    else:
+        b = b[:, None]
+    with pytest.raises(ValueError, match="shape"):
+        ss.solve_quality(coeffs, b, x)
+
+
+@pytest.mark.parametrize("column", ["x", "b"])
+def test_solve_errors_refuses_a_column_against_a_vector(column):
+    # the CLI's Cauchy solve report goes through _solve_errors directly
+    gen, nodes = ss.random_cauchy_type(8, 2, seed=1)
+    A = ss.materialize_cauchy(gen, nodes)
+    b = np.ones(8)
+    x = ss.solve_with_factors(ss.gko_factor(gen, nodes, "partial"), b)
+    assert _solve_errors(A, b, x).forward_err <= 1e-13
+    if column == "x":
+        x = x[:, None]
+    else:
+        b = b[:, None]
+    with pytest.raises(ValueError, match="shape"):
+        _solve_errors(A, b, x)

@@ -363,11 +363,44 @@ def test_cli_sweep_byte_identical_runs(tmp_path):
         (["--n", "5"], "sweep order must be even and at least 4"),
         (["--delta-exp-min", "0"], "delta exponents must be positive"),
         (["--delta-exp-min", "5", "--delta-exp-max", "2"], "delta exponents must not be empty"),
+        # delta = 10^-324 rounds to 0, which no adversarial matrix takes
+        (["--n", "4", "--delta-exp-min", "322", "--delta-exp-max", "325"],
+         "delta exponents must be at most 323"),
+        (["--n", "4", "--delta-exp-min", "1" + "0" * 400, "--delta-exp-max", "1" + "0" * 400],
+         "delta exponents must be at most 323"),
+        (["--n", "4", "--delta-exp-min", "2", "--delta-exp-max", "3", "--rhs", "random",
+          "--seed", "-1"], "seed must be non-negative"),
     ],
-    ids=["odd-order", "zero-exponent", "empty-range"],
+    ids=[
+        "odd-order", "zero-exponent", "empty-range", "delta-rounds-to-zero", "huge-exponent",
+        "negative-seed",
+    ],
 )
 def test_cli_sweep_input_errors(tmp_path, capsys, args, message):
     out_path = tmp_path / "sweep.csv"
     assert cli.main(["sweep", *args, "--out", str(out_path)]) == 2
     assert f"structsolve: input error: {message}" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+def test_cli_sweep_negative_env_seed_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # refused under the default rhs too, which does not read the seed
+    monkeypatch.setenv("STRUCTSOLVE_SEED", "-1")
+    out_path = tmp_path / "sweep.csv"
+    args = ["sweep", "--n", "4", "--delta-exp-min", "2", "--delta-exp-max", "3"]
+    assert cli.main([*args, "--out", str(out_path)]) == 2
+    assert "structsolve: input error: seed must be non-negative" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_cli_growth_above_the_hat_ratio_limit_writes_nan_for_g2(tmp_path, capsys):
+    # order 257 is past the limit of hat_ratios="auto": g2 and everything
+    # formed from it read NaN, and g1 stays finite
+    coeffs = ss.random_toeplitz(257, seed=3)
+    doc = {"toeplitz": {"n": 257, "a": [[v.real, v.imag] for v in coeffs.a]}}
+    path = _write_json(tmp_path / "toe.json", doc)
+    assert cli.main(["growth", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    for name in ("g2", "g3", "bound_cauchy", "bound_toeplitz"):
+        assert rep[name] == "nan", name
+    assert isinstance(rep["g1"], float) and np.isfinite(rep["g1"])
