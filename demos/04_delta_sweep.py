@@ -20,7 +20,6 @@ config = ss.SweepConfig(
     n=8,
     delta_exponents=tuple(range(2, 11)),
     strategies=(ss.PivotStrategy.PARTIAL_ROW, ss.PivotStrategy.ROW1_COL1),
-    rhs="ones",
 )
 result = ss.run_sweep(config)
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Check that this checkout factors bit-identically to an earlier revision.
+# Check that this checkout factors and sweeps bit-identically to an earlier
+# revision.
 #
 #     scripts/digest_against.sh REV
 #
@@ -12,8 +13,14 @@
 # so a change that should move only the hat ratio or the hatted norms shows
 # the first three at 0, and one that should move norm_L or norm_U the first
 # two.
-# Exits 0 when the outputs are identical, 1 when they differ and 2 on a
-# usage or setup error.  The temporary directory is removed on exit.
+# It then runs CLI `sweep` with its defaults, which every revision accepts,
+# in both trees and diffs the two CSVs.  They carry the forward error,
+# residual, cond, g1-g3 and backward error of the paper's adversarial sweep
+# under both strategies, so a change to the diagnostics shows there even
+# where the factor digest does not.
+# Exits 0 when both pairs of outputs are identical, 1 when either differs
+# and 2 on a usage or setup error.  The temporary directory is removed on
+# exit.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -34,6 +41,16 @@ mkdir -p "$tmp/tree/scripts"
 cp "$here/scripts/factor_digest.py" "$tmp/tree/scripts/factor_digest.py"
 python3 "$tmp/tree/scripts/factor_digest.py" > "$tmp/before.txt" || exit 2
 python3 "$here/scripts/factor_digest.py" > "$tmp/after.txt" || exit 2
+
+# CLI sweep with its defaults in tree $1, CSV to $2; exit 3 (a cell that
+# failed) still writes every row
+sweep() {
+    PYTHONPATH="$1/src" python3 -m structsolve.cli sweep > "$2" || [ $? -eq 3 ]
+}
+sweep "$tmp/tree" "$tmp/sweep-before.csv" || exit 2
+sweep "$here" "$tmp/sweep-after.csv" || exit 2
+
+status=0
 if diff "$tmp/before.txt" "$tmp/after.txt"; then
     echo "identical: $(wc -l < "$tmp/after.txt") lines at ${rev:0:12} and in $here"
 else
@@ -57,5 +74,12 @@ for i, name in enumerate(("pivot", "factors", "non-hat", "full")):
     moved = sum(a[i] != b[i] for a, b in pairs)
     print(f"{name} digest differs on {moved} of {len(pairs)} lines")
 EOF
-    exit 1
+    status=1
 fi
+if diff "$tmp/sweep-before.csv" "$tmp/sweep-after.csv"; then
+    echo "sweep identical: $(($(wc -l < "$tmp/sweep-after.csv") - 1)) records"
+else
+    echo "sweep CSV differs"
+    status=1
+fi
+exit $status

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -162,10 +161,6 @@ def _write(payload: str, out_path):
         sys.stdout.write(payload)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("STRUCTSOLVE_SEED", "0"))
-
-
 def _solve_or_input_error(solve, f, b):
     # the solvers raise ValueError on a non-finite b and on a solution
     # past the float64 range
@@ -238,22 +233,17 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    strategies = args.strategy or ["partial", "row1col1"]
     try:
         config = SweepConfig(
             n=args.n,
             delta_exponents=tuple(range(args.delta_exp_min, args.delta_exp_max + 1)),
-            strategies=tuple(strategies),
-            rhs=args.rhs,
-            seed=args.seed if args.seed is not None else _default_seed(),
+            strategies=tuple(args.strategy or SweepConfig.strategies),
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     result = run_sweep(config)
     if args.format == "csv":
         _write(records_to_csv(result.records), args.out)
-        if args.summary_out:
-            _write(json.dumps(_encode(result.summary), indent=2) + "\n", args.summary_out)
     else:
         doc = {
             "records": [_encode(r.to_dict()) for r in result.records],
@@ -295,22 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_growth.set_defaults(func=_cmd_growth)
 
     p_sweep = sub.add_parser("sweep", help="run the adversarial delta sweep")
-    p_sweep.add_argument("--n", type=int, default=8, help="matrix order (even, default 8)")
-    p_sweep.add_argument("--delta-exp-min", type=int, default=2)
-    p_sweep.add_argument("--delta-exp-max", type=int, default=16)
+    ks = SweepConfig.delta_exponents
+    p_sweep.add_argument("--n", type=int, default=SweepConfig.n,
+                         help="matrix order (even, default %(default)s)")
+    p_sweep.add_argument("--delta-exp-min", type=int, default=min(ks))
+    p_sweep.add_argument("--delta-exp-max", type=int, default=max(ks))
     p_sweep.add_argument(
         "--strategy",
         action="append",
         choices=_STRATEGY_NAMES,
         help="strategy to sweep; repeatable (default: partial and row1col1)",
     )
-    p_sweep.add_argument("--rhs", choices=["ones", "random"], default="ones")
-    p_sweep.add_argument("--seed", type=int, default=None,
-                         help="seed for random rhs (default: $STRUCTSOLVE_SEED or 0)")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--summary-out", default=None,
-                         help="also write the JSON summary here (csv format only)")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -198,9 +198,13 @@ def backward_error_toeplitz(
 
 
 def _frobenius_error(approx: np.ndarray, exact: np.ndarray) -> BackwardErrorReport:
-    """Absolute and relative Frobenius distance of ``approx`` from ``exact``."""
-    abs_err = float(np.linalg.norm(approx - exact))
-    return BackwardErrorReport(abs_err=abs_err, rel_err=abs_err / float(np.linalg.norm(exact)))
+    """Absolute and relative Frobenius distance of ``approx`` from ``exact``.
+
+    Both norms are ``_norm``'s and ``_relative`` divides them, so a matrix
+    scaled far past the square-root range keeps its relative error.
+    """
+    abs_err = _norm(approx - exact)
+    return BackwardErrorReport(abs_err=abs_err, rel_err=_relative(abs_err, _norm(exact)))
 
 
 def _toeplitz_frame(plan: DftPlan, d: np.ndarray, rec: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
 """The delta-sweep experiment: factor and solve adversarial systems across
 a range of cancellation depths, recording accuracy and growth per strategy.
 
-The "ones" right-hand side reproduces the classic T x = 1 experiment with
-the all-ones vector as the *known exact solution*, i.e. b = T @ 1.  The
-adversarial matrices are near-singular by construction (their smallest
-singular value scales with delta), and solving against a right-hand side
-with a large component in the left near-null space would drown every
+The right-hand side is b = T @ 1, the classic T x = 1 experiment with the
+all-ones vector as the *known exact solution*.  The adversarial matrices
+are near-singular by construction (their smallest singular value scales
+with delta), and solving against a right-hand side with a large component
+in the left near-null space, as a random one has, would drown every
 strategy in the same ||x||-driven rounding floor; pinning the exact
 solution keeps ||x|| = sqrt(n) and lets the stable and unstable pivoting
 strategies actually separate.
@@ -47,13 +47,14 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep parameters; defaults follow the order-8, k = 2..16 experiment."""
+    """Sweep parameters; defaults follow the order-8, k = 2..16 experiment.
+
+    The right-hand side is always b = T @ 1 (see the module docstring).
+    """
 
     n: int = 8
     delta_exponents: tuple = tuple(range(2, 17))
     strategies: tuple = (PivotStrategy.PARTIAL_ROW, PivotStrategy.ROW1_COL1)
-    rhs: str = "ones"  # "ones": b = T @ 1 (exact solution all-ones); or "random"
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
@@ -66,11 +67,6 @@ class SweepConfig:
         # overflow the conversion to float
         if any(10.0 ** -min(k, 400) == 0.0 for k in self.delta_exponents):
             raise ValueError("delta exponents must be at most 323: delta = 10^-k rounds to 0")
-        if self.rhs not in ("ones", "random"):
-            raise ValueError(f"rhs must be 'ones' or 'random', got {self.rhs!r}")
-        # refused under either rhs: a negative seed is invalid input either way
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(
             self,
             "strategies",
@@ -117,13 +113,6 @@ class SweepResult:
         return all(r.ok for r in self.records)
 
 
-def _rhs_for(config: SweepConfig, T: np.ndarray, kexp: int) -> np.ndarray:
-    if config.rhs == "ones":
-        return T @ np.ones(config.n, dtype=complex)
-    rng = np.random.default_rng([config.seed, kexp])
-    return rng.uniform(-1.0, 1.0, config.n).astype(complex)
-
-
 def _slope(ks, vals) -> float:
     ks = np.asarray(ks, dtype=float)
     vals = np.asarray(vals, dtype=float)
@@ -148,7 +137,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         delta = 10.0 ** (-kexp)
         coeffs = adversarial_toeplitz(AdversarialSpec(n=config.n, delta=delta))
         T = dense_toeplitz(coeffs)
-        b = _rhs_for(config, T, kexp)
+        b = T @ np.ones(config.n, dtype=complex)
         cond = cond_estimate(T)
         for strategy in config.strategies:
             rec = SweepRecord(delta=delta, strategy=strategy.value, cond=cond)

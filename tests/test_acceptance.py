@@ -89,7 +89,6 @@ def _sweep(strategy):
         n=8,
         delta_exponents=tuple(range(2, 7)),
         strategies=(strategy,),
-        rhs="ones",
     )
     return ss.run_sweep(config)
 

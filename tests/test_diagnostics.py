@@ -221,6 +221,28 @@ def test_unitary_invariance_of_backward_errors():
     assert abs(toeplitz_abs - cauchy_abs) <= 1e-12 * scale
 
 
+def test_backward_error_cauchy_of_generators_scaled_far_down():
+    # phi * 2^-600 puts every entry of R below the square-root range, where
+    # the plain Frobenius norm of R is 0; the relative error keeps its bits
+    gen, nodes = ss.random_cauchy_type(16, 2, seed=3)
+    scaled = ss.GeneratorPair(phi=gen.phi * 2.0**-600, psi=gen.psi)
+    ref = ss.backward_error_cauchy(gen, nodes, ss.gko_factor(gen, nodes, "partial"))
+    rep = ss.backward_error_cauchy(scaled, nodes, ss.gko_factor(scaled, nodes, "partial"))
+    assert rep.rel_err == ref.rel_err
+    assert rep.abs_err == pytest.approx(ref.abs_err * 2.0**-600, rel=1e-14)
+
+
+@pytest.mark.parametrize("e", [-600, 520], ids=["scaled-down", "scaled-up"])
+def test_backward_error_toeplitz_of_coefficients_scaled_past_the_norm_range(e):
+    # at 2^-600 the plain norm of T is 0, at 2^520 its sum of squares
+    # overflows; both would spoil the relative error
+    coeffs = ss.random_toeplitz(16, seed=1)
+    scaled = ss.ToeplitzCoeffs(a=coeffs.a * 2.0**e)
+    ref = ss.backward_error_toeplitz(coeffs, ss.toeplitz_factor(coeffs)).rel_err
+    rel = ss.backward_error_toeplitz(scaled, ss.toeplitz_factor(scaled)).rel_err
+    assert abs(rel - ref) <= 4 * np.spacing(ref)
+
+
 def _shift_matrices(n):
     z1 = np.zeros((n, n))
     zm1 = np.zeros((n, n))

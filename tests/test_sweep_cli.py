@@ -11,7 +11,7 @@ from structsolve.sweep import CSV_COLUMNS, SweepRecord
 
 
 def _small_config(**kw):
-    defaults = dict(n=8, delta_exponents=(2, 3, 4), seed=0)
+    defaults = dict(n=8, delta_exponents=(2, 3, 4))
     defaults.update(kw)
     return ss.SweepConfig(**defaults)
 
@@ -55,20 +55,11 @@ def test_sweep_summary_slopes_partial_vs_modified():
     assert s["row1_col1"]["max_residual_in_window"] <= 1e-13
 
 
-def test_sweep_random_rhs_mode():
-    result = ss.run_sweep(_small_config(rhs="random", delta_exponents=(2, 3)))
-    assert result.all_ok
-    again = ss.run_sweep(_small_config(rhs="random", delta_exponents=(2, 3)))
-    assert ss.records_to_csv(result.records) == ss.records_to_csv(again.records)
-
-
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         ss.SweepConfig(n=7)
     with pytest.raises(ValueError):
         ss.SweepConfig(delta_exponents=(0, 1))
-    with pytest.raises(ValueError):
-        ss.SweepConfig(rhs="zeros")
     with pytest.raises(ValueError, match="empty"):
         ss.SweepConfig(delta_exponents=())
 
@@ -133,8 +124,7 @@ def test_cli_solve_missing_rhs(tmp_path, capsys):
     assert cli.main(["solve", path]) == 2
 
 
-def _cauchy_doc(b):
-    gen, nodes = ss.random_cauchy_type(3, 1, seed=5)
+def _cauchy_system_doc(gen, nodes, b):
     return {
         "cauchy": {
             "t": [[v.real, v.imag] for v in nodes.t],
@@ -144,6 +134,10 @@ def _cauchy_doc(b):
         },
         "b": b,
     }
+
+
+def _cauchy_doc(b):
+    return _cauchy_system_doc(*ss.random_cauchy_type(3, 1, seed=5), b)
 
 
 _SYSTEM_DOCS = {"toeplitz": lambda b: _identity_toeplitz_doc(3, b), "cauchy": _cauchy_doc}
@@ -323,6 +317,24 @@ def test_cli_factor_backward_errors_match_library(tmp_path):
     assert out["toeplitz_backward"] == cli._encode(ss.backward_error_toeplitz(coeffs, f).to_dict())
 
 
+def test_cli_on_cauchy_generators_scaled_far_down(tmp_path, capsys):
+    # phi * 2^-600 puts R below the square-root range of the Frobenius norm:
+    # factor reports the unscaled file's backward error, and every command
+    # exits 0
+    gen, nodes = ss.random_cauchy_type(6, 2, seed=3)
+    scaled = ss.GeneratorPair(phi=gen.phi * 2.0**-600, psi=gen.psi)
+    rel_errs = []
+    for name, g in (("plain", gen), ("scaled", scaled)):
+        path = _write_json(tmp_path / f"{name}.json", _cauchy_system_doc(g, nodes, [1.0] * 6))
+        out_path = tmp_path / f"{name}-factor.json"
+        assert cli.main(["factor", path, "--out", str(out_path)]) == 0
+        rel_errs.append(json.loads(out_path.read_text())["reconstruction"]["rel_err"])
+        assert cli.main(["growth", path]) == 0
+        assert cli.main(["solve", path]) == 0
+    assert rel_errs[1] == rel_errs[0]
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_sweep_csv_and_exit(tmp_path):
     out_path = tmp_path / "sweep.csv"
     code = cli.main(
@@ -335,18 +347,22 @@ def test_cli_sweep_csv_and_exit(tmp_path):
     assert len(lines) == 1 + 3 * 2
 
 
-def test_cli_sweep_json_and_env_seed(tmp_path, monkeypatch):
-    monkeypatch.setenv("STRUCTSOLVE_SEED", "7")
+def test_cli_sweep_json(tmp_path):
     out_path = tmp_path / "sweep.json"
     code = cli.main(
         ["sweep", "--delta-exp-min", "2", "--delta-exp-max", "3",
-         "--strategy", "partial", "--rhs", "random",
-         "--format", "json", "--out", str(out_path)]
+         "--strategy", "partial", "--format", "json", "--out", str(out_path)]
     )
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert len(doc["records"]) == 2
     assert "partial_row" in doc["summary"]["strategies"]
+
+
+def test_cli_sweep_defaults_are_the_config_defaults(tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--out", str(out_path)]) == 0
+    assert out_path.read_text() == ss.records_to_csv(ss.run_sweep(ss.SweepConfig()).records)
 
 
 def test_cli_sweep_byte_identical_runs(tmp_path):
@@ -368,28 +384,15 @@ def test_cli_sweep_byte_identical_runs(tmp_path):
          "delta exponents must be at most 323"),
         (["--n", "4", "--delta-exp-min", "1" + "0" * 400, "--delta-exp-max", "1" + "0" * 400],
          "delta exponents must be at most 323"),
-        (["--n", "4", "--delta-exp-min", "2", "--delta-exp-max", "3", "--rhs", "random",
-          "--seed", "-1"], "seed must be non-negative"),
     ],
     ids=[
         "odd-order", "zero-exponent", "empty-range", "delta-rounds-to-zero", "huge-exponent",
-        "negative-seed",
     ],
 )
 def test_cli_sweep_input_errors(tmp_path, capsys, args, message):
     out_path = tmp_path / "sweep.csv"
     assert cli.main(["sweep", *args, "--out", str(out_path)]) == 2
     assert f"structsolve: input error: {message}" in capsys.readouterr().err
-    assert not out_path.exists()
-
-
-def test_cli_sweep_negative_env_seed_is_an_input_error(tmp_path, capsys, monkeypatch):
-    # refused under the default rhs too, which does not read the seed
-    monkeypatch.setenv("STRUCTSOLVE_SEED", "-1")
-    out_path = tmp_path / "sweep.csv"
-    args = ["sweep", "--n", "4", "--delta-exp-min", "2", "--delta-exp-max", "3"]
-    assert cli.main([*args, "--out", str(out_path)]) == 2
-    assert "structsolve: input error: seed must be non-negative" in capsys.readouterr().err
     assert not out_path.exists()
 
 
