@@ -18,9 +18,14 @@
 # residual, cond, g1-g3 and backward error of the paper's adversarial sweep
 # under both strategies, so a change to the diagnostics shows there even
 # where the factor digest does not.
-# Exits 0 when both pairs of outputs are identical, 1 when either differs
-# and 2 on a usage or setup error.  The temporary directory is removed on
-# exit.
+# Last it writes two system files with this checkout's testgen, a 24 x 24
+# complex Toeplitz one (random_toeplitz(24, seed=4)) and a 20 x 20 alpha = 3
+# Cauchy-type one (random_cauchy_type(20, 3, seed=9)), each with b = A 1,
+# runs CLI `factor`, `growth` and `solve` on both under `partial` and
+# `row1col1` in both trees, and diffs each command's output, standard error
+# and exit code.
+# Exits 0 when every pair of outputs is identical, 1 when any differs and 2
+# on a usage or setup error.  The temporary directory is removed on exit.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -49,6 +54,60 @@ sweep() {
 }
 sweep "$tmp/tree" "$tmp/sweep-before.csv" || exit 2
 sweep "$here" "$tmp/sweep-after.csv" || exit 2
+
+# the CLI's system files, every number an [re, im] pair
+PYTHONPATH="$here/src" python3 - "$tmp" <<'EOF' || exit 2
+import json
+import sys
+
+import numpy as np
+
+import structsolve as ss
+from structsolve.oracle import dense_toeplitz
+
+
+def pairs(a):
+    a = np.asarray(a, dtype=complex)
+    return [pairs(row) for row in a] if a.ndim > 1 else [[z.real, z.imag] for z in a.tolist()]
+
+
+coeffs = ss.random_toeplitz(24, seed=4)
+gen, nodes = ss.random_cauchy_type(20, 3, seed=9)
+systems = {
+    "toeplitz": {
+        "toeplitz": {"n": coeffs.n, "a": pairs(coeffs.a)},
+        "b": pairs(dense_toeplitz(coeffs) @ np.ones(coeffs.n)),
+    },
+    "cauchy": {
+        "cauchy": {"t": pairs(nodes.t), "s": pairs(nodes.s),
+                   "phi": pairs(gen.phi), "psi": pairs(gen.psi)},
+        "b": pairs(ss.materialize_cauchy(gen, nodes) @ np.ones(nodes.n)),
+    },
+}
+for name, doc in systems.items():
+    with open(f"{sys.argv[1]}/{name}.json", "w") as fh:
+        json.dump(doc, fh)
+EOF
+
+# CLI factor, growth and solve on both systems under both strategies in
+# tree $1, each command's output, standard error and exit code into dir $2
+cli() {
+    mkdir "$2"
+    local system strategy cmd out code
+    for system in toeplitz cauchy; do
+        for strategy in partial row1col1; do
+            for cmd in factor growth solve; do
+                out="$2/$system-$strategy-$cmd"
+                code=0
+                PYTHONPATH="$1/src" python3 -m structsolve.cli "$cmd" "$tmp/$system.json" \
+                    --strategy "$strategy" > "$out.json" 2> "$out.err" || code=$?
+                echo "$code" > "$out.exit"
+            done
+        done
+    done
+}
+cli "$tmp/tree" "$tmp/cli-before"
+cli "$here" "$tmp/cli-after"
 
 status=0
 if diff "$tmp/before.txt" "$tmp/after.txt"; then
@@ -80,6 +139,12 @@ if diff "$tmp/sweep-before.csv" "$tmp/sweep-after.csv"; then
     echo "sweep identical: $(($(wc -l < "$tmp/sweep-after.csv") - 1)) records"
 else
     echo "sweep CSV differs"
+    status=1
+fi
+if diff -r "$tmp/cli-before" "$tmp/cli-after"; then
+    echo "CLI identical: $(ls "$tmp/cli-after" | grep -c '[.]exit$') runs"
+else
+    echo "CLI output differs"
     status=1
 fi
 exit $status

@@ -30,10 +30,12 @@
  * The loops over the entries of a line are written for the vectoriser, and
  * give the same bits at every vector width:
  *  - Smith division selects its operands instead of branching (see
- *    prepare), so a quotient has the bits of numpy's.  No division needs
- *    numpy's zero-divisor path: CauchyNodes refuses nodes with t_i close to
- *    s_j, so no gap is zero, and a step stops on a pivot at most n eps
- *    times the largest candidate, so the pivot is never zero.
+ *    prepare), so a quotient has the bits of numpy's.  No division in a
+ *    loop needs numpy's zero-divisor path: CauchyNodes refuses nodes with
+ *    t_i close to s_j, so no gap is zero, and a step stops on a pivot at
+ *    most n eps times the largest candidate, so the pivot is never zero.
+ *    v_kk's quotient, once a step, may divide by zero, but where it is not
+ *    finite it becomes +inf, whichever path numpy would take.
  *  - A magnitude is sqrt(re^2 + im^2) with a flag for sums of squares
  *    outside cmag's range, NaN included (quick_mag).  A pass that only
  *    reads is redone with cmag when any entry is flagged, so every
@@ -114,10 +116,11 @@ static inline double cmag(cplx z)
  * and scl depend on the divisor alone, so dividing many numerators by one
  * value costs products.
  *
- * Nothing here divides by zero: no gap is zero, because CauchyNodes refuses
- * nodes with t_i close to s_j; a step stops before dividing by a pivot at
- * most n eps times the largest candidate; v_kk's divisor is at least
- * v_floor; and solve_with_factors refuses a zero on U's diagonal. */
+ * Only v_kk's quotient may divide by zero (where phi_k psi_k = 0) or
+ * overflow, and the step flags either result as +inf.  No other divisor is
+ * zero: no gap is, because CauchyNodes refuses nodes with t_i close to s_j;
+ * a step stops before dividing by a pivot at most n eps times the largest
+ * candidate; and solve_with_factors refuses a zero on U's diagonal. */
 typedef struct {
     int real_major;
     double rat, scl;
@@ -368,7 +371,7 @@ typedef struct {
 typedef struct {
     ptrdiff_t n, alpha;
     int strategy;
-    double eps, v_floor, u_scale, cand_max;
+    double eps, u_scale, cand_max;
     double *inv_gap, *hat_ratio; /* both NULL without hat ratios */
     ptrdiff_t *piv_index;
     unsigned char *piv_is_col;
@@ -615,7 +618,8 @@ static ALWAYS_INLINE int step(ptrdiff_t alpha, elimination *e, ptrdiff_t k)
     }
     cplx den = dot(phi_k, psi_k, alpha);
     double num = abs_dot(phi_k, cols->gen_abs, alpha);
-    e->v_kk[k] = cmag(den) < e->v_floor ? (cplx){INFINITY, 0.0} : cdiv((cplx){num, 0.0}, den);
+    cplx v = cdiv((cplx){num, 0.0}, den);
+    e->v_kk[k] = isfinite(v.re) && isfinite(v.im) ? v : (cplx){INFINITY, 0.0};
     double u_scale = e->u_scale, h_l = cmag(e->v_kk[k]);
     double h_u = num * u_scale / cmag(csub(rows->node[k], cols->node[k]));
     cplx u = {u_kk.re * u_scale, u_kk.im * u_scale};
@@ -666,7 +670,7 @@ static double pick_u_scale(ptrdiff_t n, ptrdiff_t alpha, const cplx *phi, const 
  * updates them.  LU is n x n and must hold zeros on entry; it receives L
  * strictly below the diagonal and U on and above it, and no other entry is
  * written.  Per step k the trace arrays receive the pivot, its magnitude
- * and v_kk (+inf where |phi_k psi_k| is below v_floor); hat_ratio[k] is
+ * and v_kk (+inf where the quotient is not finite); hat_ratio[k] is
  * written only when hat is nonzero, in which case inv_gap is work space of
  * n^2 + 3 alpha n doubles: the reciprocal gaps times u_scale, then
  * hat_ratio_step's columns.  panel holds n x panel_width complex values:
@@ -682,16 +686,15 @@ static double pick_u_scale(ptrdiff_t n, ptrdiff_t alpha, const cplx *phi, const 
  * precision).
  */
 ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, double eps,
-                        double v_floor, ptrdiff_t panel_width, cplx *phi, cplx *psi, cplx *t,
-                        cplx *s, cplx *LU, ptrdiff_t *pidx, ptrdiff_t *cidx,
+                        ptrdiff_t panel_width, cplx *phi, cplx *psi, cplx *t, cplx *s,
+                        cplx *LU, ptrdiff_t *pidx, ptrdiff_t *cidx,
                         ptrdiff_t *piv_index, unsigned char *piv_is_col, double *piv_mag,
                         cplx *v_kk, double *hat_ratio, double *inv_gap, cplx *panel,
                         cplx *work_c, double *work_r, double *norms)
 {
     double u_scale = pick_u_scale(n, alpha, phi, psi, t, s);
     elimination e = {
-        .n = n, .alpha = alpha, .strategy = strategy, .eps = eps, .v_floor = v_floor,
-        .u_scale = u_scale,
+        .n = n, .alpha = alpha, .strategy = strategy, .eps = eps, .u_scale = u_scale,
         .inv_gap = hat ? inv_gap : NULL, .hat_ratio = hat ? hat_ratio : NULL,
         .piv_index = piv_index, .piv_is_col = piv_is_col, .piv_mag = piv_mag, .v_kk = v_kk,
         .rows = {.node = t, .gen = phi, .line = work_c, .mag = work_r,

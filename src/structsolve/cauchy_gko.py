@@ -39,10 +39,6 @@ __all__ = [
     "solve_with_factors",
 ]
 
-#: |denominator| below this counts as a degenerate (flagged-infinite) V entry;
-#: the kernel applies it to v_kk, ``diagnostics.v_matrix`` to every entry
-V_DEGENERATE_FLOOR = 1e-300
-
 #: orders above which the O(n^3) hatted-ratio diagnostic is skipped on "auto"
 HAT_RATIO_AUTO_LIMIT = 256
 
@@ -84,8 +80,8 @@ class GrowthTrace:
 
     It holds what the growth report, the CLI or the benchmark reads, step by
     step.  ``v_kk[k]`` is the step-k V entry on the diagonal,
-    |phi_k||psi_k| / (phi_k psi_k), and +inf where |phi_k psi_k| is below
-    ``V_DEGENERATE_FLOOR``; its largest magnitude is a term of g1.
+    |phi_k||psi_k| / (phi_k psi_k), and +inf where that quotient is not
+    finite; its largest magnitude is a term of g1.
     ``hat_ratio[k]`` is ||V(k) o R_k||_F / ||R_k||_F, the step-k hatted norm
     ratio feeding the g2 growth factor, and NaN where it was not computed.
     """
@@ -274,8 +270,8 @@ def _load_kernel(cache_dir=_KERNEL_SOURCE.parent / "__pycache__", compiler="cc",
     library = ctypes.CDLL(str(lib))
     size, flag, real, address = ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double, ctypes.c_void_p
     eliminate = library.gko_eliminate
-    # n, alpha, strategy, hat, eps, V floor, L panel width, then the arrays
-    eliminate.argtypes = [size, size, flag, flag, real, real, size]
+    # n, alpha, strategy, hat, eps, L panel width, then the arrays
+    eliminate.argtypes = [size, size, flag, flag, real, size]
     eliminate.argtypes += [address] * len(_KERNEL_ARRAYS)
     eliminate.restype = size
     solve_block = library.tri_block_solve
@@ -332,7 +328,9 @@ def gko_factor(
     ------
     SingularMatrixError
         When the selected pivot magnitude is at most n*eps times the largest
-        candidate examined at that step.
+        candidate examined at that step, or when a pivot magnitude is
+        subnormal or NaN (the generators' scale took the elimination out of
+        the float range).
     ValueError
         When the generators and nodes differ in order, or ``hat_ratios`` is a
         string other than "auto".
@@ -377,13 +375,21 @@ def gko_factor(
         panel, work_c, work_r, norms,
     )
     failed = _kernel(
-        n, alpha, _STRATEGY_CODES[strategy], int(bool(hat_ratios)), EPS, V_DEGENERATE_FLOOR,
-        _L_PANEL, *map(_address, arrays, _KERNEL_ARRAYS),
+        n, alpha, _STRATEGY_CODES[strategy], int(bool(hat_ratios)), EPS, _L_PANEL,
+        *map(_address, arrays, _KERNEL_ARRAYS),
     )
     if failed >= 0:
         raise SingularMatrixError(
             f"singular at step {failed}: pivot {trace.pivot_magnitude[failed]:.3e} "
             f"below {n}*eps*{norms[4]:.3e}"
+        )
+    # a subnormal pivot has lost digits and one past the float range is NaN,
+    # which the kernel's relative test cannot catch; "not >=" counts NaN
+    low = ~(trace.pivot_magnitude >= np.finfo(float).tiny)
+    if low.any():
+        k = int(np.argmax(low))
+        raise SingularMatrixError(
+            f"pivot {trace.pivot_magnitude[k]:.3e} at step {k} is below the normal range"
         )
     return GKOFactorization(
         row_perm=Permutation(pidx),

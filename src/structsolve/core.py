@@ -110,7 +110,7 @@ class CauchyNodes:
     """Node vectors t, s defining the diagonal displacement operators.
 
     Construction rejects non-finite nodes and node collisions: if
-    ``min |t_i - s_j|`` falls below ``1e-14 * max(|t|, |s|, 1)`` the
+    ``min |t_i - s_j|`` is at most ``1e-14 * max(|t|, |s|)`` the
     represented matrix has entries that are not recoverable from generators,
     and such inputs are refused outright.  ``gap_extrema`` keeps the
     ``(min, max)`` of ``|t_i - s_j|`` that this check computes.
@@ -129,12 +129,14 @@ class CauchyNodes:
             raise ValueError("node vectors must be nonempty")
         if not (np.isfinite(t).all() and np.isfinite(s).all()):
             raise ValueError("node vectors must be finite")
-        scale = max(np.abs(t).max(), np.abs(s).max(), 1.0)
+        # relative, so that scaling both node vectors scales nothing else;
+        # <= keeps all-zero nodes a collision
+        scale = max(np.abs(t).max(), np.abs(s).max())
         gap_min, gap_max = _gap_extrema(t, s)
-        if gap_min < NODE_COLLISION_RTOL * scale:
+        if gap_min <= NODE_COLLISION_RTOL * scale:
             raise NodeCollisionError(
                 f"node collision: min |t_i - s_j| = {gap_min:.3e} "
-                f"below {NODE_COLLISION_RTOL:.0e} * {scale:.3e}"
+                f"at most {NODE_COLLISION_RTOL:.0e} * {scale:.3e}"
             )
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s", s)

@@ -12,11 +12,11 @@ meaningful, their absolute validity is not asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cauchy_gko import V_DEGENERATE_FLOOR, GKOFactorization, GrowthTrace
+from .cauchy_gko import GKOFactorization, GrowthTrace
 from .core import (
     EPS,
     CauchyNodes,
@@ -58,27 +58,12 @@ class GrowthReport:
     hatU_ratio: float
     b_max: float
     b_min: float
+    bmax_over_bmin: float
     bound_cauchy: float
     bound_toeplitz: float
 
-    @property
-    def bmax_over_bmin(self) -> float:
-        return self.b_max / self.b_min
-
     def to_dict(self) -> dict:
-        return {
-            "g1": self.g1,
-            "g2": self.g2,
-            "g3": self.g3,
-            "v_kk_norm": self.v_kk_norm,
-            "hatL_ratio": self.hatL_ratio,
-            "hatU_ratio": self.hatU_ratio,
-            "b_max": self.b_max,
-            "b_min": self.b_min,
-            "bmax_over_bmin": self.bmax_over_bmin,
-            "bound_cauchy": self.bound_cauchy,
-            "bound_toeplitz": self.bound_toeplitz,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -95,12 +80,7 @@ class BackwardErrorReport:
     forward_err: float = np.nan
 
     def to_dict(self) -> dict:
-        return {
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "residual": self.residual,
-            "forward_err": self.forward_err,
-        }
+        return asdict(self)
 
 
 def _check_orders(n: int, **orders: int) -> None:
@@ -115,9 +95,15 @@ def _check_orders(n: int, **orders: int) -> None:
 
 
 def _v_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Elementwise |phi||psi| / (phi psi); degenerate denominators go to inf."""
-    out = np.full(den.shape, np.inf + 0j, dtype=complex)
-    return np.divide(num, den, out=out, where=np.abs(den) >= V_DEGENERATE_FLOOR)
+    """Elementwise |phi||psi| / (phi psi), +inf where the quotient is not finite.
+
+    The kernel's v_kk follows the same rule.  A zero denominator or an
+    overflowing quotient is flagged, not warned about.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = num / den
+    v[~np.isfinite(v)] = np.inf
+    return v
 
 
 def v_matrix(gen: GeneratorPair) -> np.ndarray:
@@ -125,8 +111,9 @@ def v_matrix(gen: GeneratorPair) -> np.ndarray:
 
     v_ij = (sum_m |phi_im| |psi_mj|) / (sum_m phi_im psi_mj).  Unit-modulus
     entries mean no cancellation; displacement rank 1 always gives that,
-    leaving only a phase.  Entries whose denominator underflows
-    |.| < 1e-300 are flagged as +inf rather than raising.
+    leaving only a phase.  Entries whose quotient is not finite (a zero
+    denominator, or a quotient past the float range) are +inf.  V does not
+    change when phi or psi is scaled, and neither does this rule.
     """
     return _v_ratio(np.abs(gen.phi) @ np.abs(gen.psi), gen.phi @ gen.psi)
 
@@ -158,8 +145,9 @@ def growth_report(
     b_max = float(1.0 / gap_min)
     b_min = float(1.0 / gap_max)
 
+    bmax_over_bmin = b_max / b_min
     lu = norm_l * norm_u
-    bound_cauchy = EPS * (b_max / b_min * g1 + n * g2) * lu
+    bound_cauchy = EPS * (bmax_over_bmin * g1 + n * g2) * lu
     bound_toeplitz = EPS * g3 * n * lu
     return GrowthReport(
         g1=g1,
@@ -170,6 +158,7 @@ def growth_report(
         hatU_ratio=hatU_ratio,
         b_max=b_max,
         b_min=b_min,
+        bmax_over_bmin=bmax_over_bmin,
         bound_cauchy=float(bound_cauchy),
         bound_toeplitz=float(bound_toeplitz),
     )

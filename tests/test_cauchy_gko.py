@@ -1,5 +1,6 @@
 """Tests for generator-based elimination: recovery, updates, factorization."""
 
+import cmath
 import dataclasses
 import re
 import subprocess
@@ -169,9 +170,14 @@ def test_gko_factor_cancelled_entry_leaves_factors_finite(strategy):
 
 
 def _v_ratio_reference(num, den):
+    """The quotient entry by entry, +inf where it is zero-divided or not finite."""
     out = np.empty(den.shape, dtype=complex)
     for i in np.ndindex(den.shape):
-        out[i] = np.inf if abs(den[i]) < 1e-300 else complex(num[i]) / complex(den[i])
+        try:
+            v = complex(num[i]) / complex(den[i])
+        except ZeroDivisionError:
+            v = complex(np.inf)
+        out[i] = v if cmath.isfinite(v) else np.inf
     return out
 
 
@@ -183,9 +189,10 @@ def _v_ratio_reference(num, den):
         [2.0, 0.0, 3.0 + 4.0j, 1.0],
         [[1.0, -2.0], [4.0, 5e-301 + 5e-301j]],
         [[1.0, -2.0], [0.5j, 4.0]],
+        [2.0, -1j, 3.0 + 4.0j, 1e-310],
         np.zeros(0),
     ],
-    ids=["floor", "sub-floor", "zero", "2d-sub-floor", "2d", "empty"],
+    ids=["floor", "sub-floor", "zero", "2d-sub-floor", "2d", "overflow", "empty"],
 )
 def test_v_ratio_matches_elementwise_reference(den):
     from structsolve.diagnostics import _v_ratio
@@ -875,6 +882,60 @@ def test_toeplitz_coefficients_scaled_far_down_keep_the_factors(strategy):
     f = ss.toeplitz_factor(c, strategy, hat_ratios=True).inner
     g = ss.toeplitz_factor(ss.ToeplitzCoeffs(a=_ldexp(c.a, -560)), strategy, hat_ratios=True).inner
     _assert_scaled_factors(f, g, ss.toeplitz_cauchy_nodes(64), -560, rtol=1e-15)
+
+
+# (a, b, c): phi scaled by 2^a, psi by 2^b and both node vectors by 2^c
+_CONTRACT_SCALINGS = [
+    (-1000, 0, 0), (0, -990, 0), (600, 400, 0), (0, 0, -60), (0, 0, 60), (-600, 0, -200),
+    (3, -7, 11),
+]
+
+
+@pytest.mark.parametrize("a, b, c", _CONTRACT_SCALINGS, ids=str)
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+@pytest.mark.parametrize("n, alpha, seed", [(16, 2, 3), (24, 4, 5)], ids=["16x2", "24x4"])
+def test_scaled_generators_and_nodes_keep_every_ratio(n, alpha, seed, strategy, a, b, c):
+    # V = |phi||psi| / (phi psi) and the growth factors are ratios, and the
+    # node check is relative, so scaling phi, psi and the nodes by powers of
+    # two changes none of them and scales U by 2^(a + b - c) exactly: no
+    # absolute floor may read inf, or a collision, where the unscaled input
+    # reads a number.  Compared with ==, not bytes: the signed zeros of
+    # imaginary parts move with the node scale.
+    gen, nodes = ss.random_cauchy_type(n, alpha, seed=seed)
+    scaled_gen = ss.GeneratorPair(phi=_ldexp(gen.phi, a), psi=_ldexp(gen.psi, b))
+    scaled_nodes = ss.CauchyNodes(t=_ldexp(nodes.t, c), s=_ldexp(nodes.s, c))
+    f = ss.gko_factor(gen, nodes, strategy, hat_ratios=True)
+    g = ss.gko_factor(scaled_gen, scaled_nodes, strategy, hat_ratios=True)
+    e = a + b - c
+    for name in ("pivot_index", "pivot_is_col", "v_kk", "hat_ratio"):
+        np.testing.assert_array_equal(getattr(g.trace, name), getattr(f.trace, name), name)
+    np.testing.assert_array_equal(g.trace.pivot_magnitude, np.ldexp(f.trace.pivot_magnitude, e))
+    np.testing.assert_array_equal(g.row_perm.idx, f.row_perm.idx)
+    np.testing.assert_array_equal(g.col_perm.idx, f.col_perm.idx)
+    np.testing.assert_array_equal(g.L, f.L)
+    np.testing.assert_array_equal(g.U, _ldexp(f.U, e))
+    assert g.norm_U == np.ldexp(f.norm_U, e)
+    np.testing.assert_array_equal(ss.v_matrix(scaled_gen), ss.v_matrix(gen))
+    expected = ss.growth_report(f.trace, f, nodes)
+    got = ss.growth_report(g.trace, g, scaled_nodes)
+    for name in ("g1", "g2", "g3", "v_kk_norm", "hatL_ratio", "hatU_ratio", "bmax_over_bmin"):
+        assert getattr(got, name) == getattr(expected, name), name
+    assert np.isfinite(got.g1)
+
+
+@pytest.mark.parametrize(
+    "exponent, message",
+    [(-1022, "pivot 1.116e-308 at step 11"), (-1030, "pivot 9.744e-310 at step 0")],
+)
+def test_subnormal_pivot_is_singular(exponent, message):
+    # phi scaled by 2^-1022 leaves the factors finite but the pivot at step
+    # 11 subnormal, with digits lost; by 2^-1030 the pivot at step 0 is
+    # subnormal and the later ones NaN, which the relative singularity test
+    # cannot see
+    gen, nodes = ss.random_cauchy_type(16, 2, seed=3)
+    scaled = ss.GeneratorPair(phi=_ldexp(gen.phi, exponent), psi=gen.psi)
+    with pytest.raises(ss.SingularMatrixError, match=f"{message} is below the normal range"):
+        ss.gko_factor(scaled, nodes, "partial")
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17])

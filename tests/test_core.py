@@ -128,6 +128,13 @@ def test_toeplitz_coeffs_reject_non_finite(bad):
         ss.ToeplitzCoeffs(a=a)
 
 
+def test_nodes_reject_all_zero_nodes():
+    # the check is relative to max(|t|, |s|), which is 0 here: a zero gap
+    # is still a collision
+    with pytest.raises(ss.NodeCollisionError):
+        ss.CauchyNodes(t=[0.0, 0.0], s=[0.0, 0.0])
+
+
 def test_nodes_reject_near_collision():
     with pytest.raises(ss.NodeCollisionError):
         ss.CauchyNodes(t=[1.0, 2.0], s=[1.0 + 1e-16, 5.0])

@@ -335,6 +335,16 @@ def test_cli_on_cauchy_generators_scaled_far_down(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cli_exits_singular_on_a_subnormal_pivot(tmp_path, capsys):
+    # phi * 2^-1030 makes the first pivot subnormal and the later ones NaN
+    gen, nodes = ss.random_cauchy_type(16, 2, seed=3)
+    scaled = ss.GeneratorPair(phi=gen.phi * 2.0**-1030, psi=gen.psi)
+    path = _write_json(tmp_path / "subnormal.json", _cauchy_system_doc(scaled, nodes, [1.0] * 16))
+    for command in ("factor", "growth", "solve"):
+        assert cli.main([command, path]) == 3, command
+        assert "below the normal range" in capsys.readouterr().err
+
+
 def test_cli_sweep_csv_and_exit(tmp_path):
     out_path = tmp_path / "sweep.csv"
     code = cli.main(
