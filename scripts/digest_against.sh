@@ -18,12 +18,14 @@
 # residual, cond, g1-g3 and backward error of the paper's adversarial sweep
 # under both strategies, so a change to the diagnostics shows there even
 # where the factor digest does not.
-# Last it writes two system files with this checkout's testgen, a 24 x 24
-# complex Toeplitz one (random_toeplitz(24, seed=4)) and a 20 x 20 alpha = 3
-# Cauchy-type one (random_cauchy_type(20, 3, seed=9)), each with b = A 1,
-# runs CLI `factor`, `growth` and `solve` on both under `partial` and
-# `row1col1` in both trees, and diffs each command's output, standard error
-# and exit code.
+# Last it writes three system files with this checkout's testgen, a 24 x 24
+# complex Toeplitz one (random_toeplitz(24, seed=4)), a 20 x 20 alpha = 3
+# Cauchy-type one (random_cauchy_type(20, 3, seed=9)) and a 300 x 300
+# Toeplitz one (random_toeplitz(300, seed=5)), each with b = A 1, runs CLI
+# `factor`, `growth` and `solve` on each under `partial` and `row1col1` in
+# both trees, and diffs each command's output, standard error and exit code.
+# Order 300 is past HAT_RATIO_AUTO_LIMIT, so `growth` reports its NaN g2
+# there, and it spans several blocks of the blocked substitution.
 # Exits 0 when every pair of outputs is identical, 1 when any differs and 2
 # on a usage or setup error.  The temporary directory is removed on exit.
 set -euo pipefail
@@ -71,13 +73,17 @@ def pairs(a):
     return [pairs(row) for row in a] if a.ndim > 1 else [[z.real, z.imag] for z in a.tolist()]
 
 
-coeffs = ss.random_toeplitz(24, seed=4)
-gen, nodes = ss.random_cauchy_type(20, 3, seed=9)
-systems = {
-    "toeplitz": {
+def toeplitz(coeffs):
+    return {
         "toeplitz": {"n": coeffs.n, "a": pairs(coeffs.a)},
         "b": pairs(dense_toeplitz(coeffs) @ np.ones(coeffs.n)),
-    },
+    }
+
+
+gen, nodes = ss.random_cauchy_type(20, 3, seed=9)
+systems = {
+    "toeplitz": toeplitz(ss.random_toeplitz(24, seed=4)),
+    "toeplitz300": toeplitz(ss.random_toeplitz(300, seed=5)),
     "cauchy": {
         "cauchy": {"t": pairs(nodes.t), "s": pairs(nodes.s),
                    "phi": pairs(gen.phi), "psi": pairs(gen.psi)},
@@ -89,12 +95,12 @@ for name, doc in systems.items():
         json.dump(doc, fh)
 EOF
 
-# CLI factor, growth and solve on both systems under both strategies in
+# CLI factor, growth and solve on every system under both strategies in
 # tree $1, each command's output, standard error and exit code into dir $2
 cli() {
     mkdir "$2"
     local system strategy cmd out code
-    for system in toeplitz cauchy; do
+    for system in toeplitz toeplitz300 cauchy; do
         for strategy in partial row1col1; do
             for cmd in factor growth solve; do
                 out="$2/$system-$strategy-$cmd"

@@ -21,13 +21,15 @@ digest covers L, U, ``row_perm``, ``col_perm``, ``norm_L``, ``norm_U``, the
 field and ``v_matrix`` of the factored generators.  The trace fields are a
 fixed list, not whatever the trace holds, so that a copy run in an older
 or newer checkout digests the same values as here.  The hatted norms
-``norm_Lhat`` and ``norm_Uhat`` enter only through the report's
-``hatL_ratio`` and ``hatU_ratio``, which every checkout has.  The non-hat
-digest covers the same as the full one except ``hat_ratio``, the hatted
-norm ratios, and the report fields computed from them (``HAT_REPORT_FIELDS``:
-``hatL_ratio``, ``hatU_ratio``, g1, g2, g3, ``bound_cauchy`` and
-``bound_toeplitz``), so a change that only rounds the hat ratio or the
-hatted norms differently differs only in the full digest.  The corpus
+enter only through the report's ``hatL_ratio`` and ``hatU_ratio``, which
+every checkout has, and not through the factorization's fields, whose
+names changed (older checkouts hold ``norm_Lhat`` and ``norm_Uhat``).
+The non-hat digest covers the same as the full one except ``hat_ratio``,
+the hatted norm ratios, and the report fields computed from them
+(``HAT_REPORT_FIELDS``: ``hatL_ratio``, ``hatU_ratio``, g1, g2, g3,
+``bound_cauchy`` and ``bound_toeplitz``), so a change that only rounds
+the hat ratio or the hatted norms differently differs only in the full
+digest.  The corpus
 is 149 instances under each of the strategies none, partial and row1col1
 (447 factorizations):
 

@@ -32,8 +32,8 @@
  *  - Smith division selects its operands instead of branching (see
  *    prepare), so a quotient has the bits of numpy's.  No division in a
  *    loop needs numpy's zero-divisor path: CauchyNodes refuses nodes with
- *    t_i close to s_j, so no gap is zero, and a step stops on a pivot at
- *    most n eps times the largest candidate, so the pivot is never zero.
+ *    t_i close to s_j, so no gap is zero, and a step stops on a pivot that
+ *    is not normal, so the pivot is never zero.
  *    v_kk's quotient, once a step, may divide by zero, but where it is not
  *    finite it becomes +inf, whichever path numpy would take.
  *  - A magnitude is sqrt(re^2 + im^2) with a flag for sums of squares
@@ -57,17 +57,19 @@
  * per step: the pivot, v_kk and, when asked, the hat ratio.  It adds the
  * squares of its entries of L and U, and of their hatted entries, to four
  * running sums, from which gko_eliminate returns ||L||_F, ||U||_F,
- * ||Lhat||_F and ||Uhat||_F finished.  The entries of U and the hatted
- * entries of U and of the hat ratio scale with the generators, so their
- * squares are summed on the entries times u_scale, a power of two that
- * gko_eliminate picks near one over the largest entry of R's first column
- * and row (see pick_u_scale): the squares then neither underflow nor
- * overflow where the entries themselves do not.  Scaling by a power of two
- * is exact, so in range the sums are the plain ones times u_scale^2, and
- * the norms the kernel returns, with u_scale divided out, have the bits of
- * the plain ones.
+ * ||Lhat||_F / ||L||_F and ||Uhat||_F / ||U||_F finished.  The entries of U
+ * and the hatted entries of U and of the hat ratio scale with the
+ * generators, so their squares are summed on the entries times u_scale, a
+ * power of two that gko_eliminate picks near one over the largest entry of
+ * R's first column and row (see pick_u_scale): the squares then neither
+ * underflow nor overflow where the entries themselves do not.  Scaling by a
+ * power of two is exact, so in range the sums are the plain ones times
+ * u_scale^2; ||U||_F, with u_scale divided out, has the bits of the plain
+ * norm, and the U ratio, a quotient of two scaled roots, stays finite where
+ * ||Uhat||_F would overflow.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <string.h>
@@ -119,8 +121,8 @@ static inline double cmag(cplx z)
  * Only v_kk's quotient may divide by zero (where phi_k psi_k = 0) or
  * overflow, and the step flags either result as +inf.  No other divisor is
  * zero: no gap is, because CauchyNodes refuses nodes with t_i close to s_j;
- * a step stops before dividing by a pivot at most n eps times the largest
- * candidate; and solve_with_factors refuses a zero on U's diagonal. */
+ * a step stops before dividing by a pivot that is not normal; and
+ * solve_with_factors refuses a zero on U's diagonal. */
 typedef struct {
     int real_major;
     double rat, scl;
@@ -555,7 +557,8 @@ static void interchange(side *a, ptrdiff_t n, ptrdiff_t alpha, ptrdiff_t k, ptrd
 }
 
 /* Step k of the elimination, the hat ratio first when asked; returns
- * nonzero, with e->cand_max set, when the pivot is too small. */
+ * nonzero, with e->cand_max set, when the pivot is at most n eps times the
+ * largest candidate or not a normal number ("not >=" counts NaN). */
 static ALWAYS_INLINE int step(ptrdiff_t alpha, elimination *e, ptrdiff_t k)
 {
     ptrdiff_t n = e->n;
@@ -601,8 +604,8 @@ static ALWAYS_INLINE int step(ptrdiff_t alpha, elimination *e, ptrdiff_t k)
     cplx u_kk = moved->line[k];
     e->piv_index[k] = p;
     e->piv_is_col[k] = moved == cols;
-    e->piv_mag[k] = cmag(u_kk);
-    if (e->piv_mag[k] <= (double)n * e->eps * cand_max) {
+    double mag = e->piv_mag[k] = cmag(u_kk);
+    if (mag <= (double)n * e->eps * cand_max || !(mag >= DBL_MIN)) {
         e->cand_max = cand_max;
         return 1;
     }
@@ -676,14 +679,14 @@ static double pick_u_scale(ptrdiff_t n, ptrdiff_t alpha, const cplx *phi, const 
  * hat_ratio_step's columns.  panel holds n x panel_width complex values:
  * column k of L is gathered there, row by row, and copied into LU every
  * panel_width steps.  work_c holds n complex values, work_r 2n + 2 alpha
- * doubles.  norms receives ||L||_F, ||U||_F, ||Lhat||_F and ||Uhat||_F, the
- * Frobenius norms of the factors and of their hatted entries (L's and U's
- * entries times V's, in magnitude) or, when a step fails, the largest
- * candidate magnitude of that step in norms[4].
+ * doubles.  norms receives ||L||_F, ||U||_F, ||Lhat||_F / ||L||_F and
+ * ||Uhat||_F / ||U||_F (the hatted entries are L's and U's times V's, in
+ * magnitude) or, when a step fails, its largest candidate in norms[4].
  *
- * Returns -1, or the step whose pivot magnitude is at most n eps times the
- * largest candidate examined there (the matrix is singular to working
- * precision).
+ * Returns -1, or the first step whose pivot magnitude is at most n eps times
+ * the largest candidate examined there (the matrix is singular to working
+ * precision) or is not a normal number: a subnormal pivot has lost digits,
+ * and one past the float range is NaN, which the relative test cannot see.
  */
 ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, double eps,
                         ptrdiff_t panel_width, cplx *phi, cplx *psi, cplx *t, cplx *s,
@@ -728,8 +731,8 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
     }
     norms[0] = sqrt((double)n + e.rows.sq);
     norms[1] = sqrt(e.cols.sq) / u_scale;
-    norms[2] = sqrt(e.rows.hat_sq);
-    norms[3] = sqrt(e.cols.hat_sq) / u_scale;
+    norms[2] = sqrt(e.rows.hat_sq) / norms[0];
+    norms[3] = sqrt(e.cols.hat_sq) / sqrt(e.cols.sq);
     return -1;
 }
 

@@ -108,10 +108,11 @@ class GKOFactorization:
     both factors in one n x n array, as LAPACK's xGETRF stores them: L
     strictly below the diagonal, its unit diagonal implied, and U on and
     above it.  ``norm_L`` and ``norm_U`` are the Frobenius norms of L and U,
-    and ``norm_Lhat`` and ``norm_Uhat`` those of Lhat and Uhat, the factors
-    weighted entrywise by the V entries of the step that wrote them
-    (|v_jk l_jk| and |v_kj u_kj|), all accumulated during elimination; no V
-    matrix is ever stored.
+    and ``hatL_ratio`` and ``hatU_ratio`` the ratios ||Lhat||_F / ||L||_F
+    and ||Uhat||_F / ||U||_F, Lhat and Uhat being the factors weighted
+    entrywise by the V entries of the step that wrote them (|v_jk l_jk| and
+    |v_kj u_kj|), all accumulated during elimination; no V matrix is ever
+    stored, and the ratios stay finite where ||Uhat||_F would overflow.
     """
 
     row_perm: Permutation
@@ -120,8 +121,8 @@ class GKOFactorization:
     trace: GrowthTrace
     norm_L: float
     norm_U: float
-    norm_Lhat: float
-    norm_Uhat: float
+    hatL_ratio: float
+    hatU_ratio: float
 
     @property
     def n(self) -> int:
@@ -300,10 +301,11 @@ def gko_factor(
     at n = 2048), and 32 n + 16 alpha bytes: one recovered column, the
     magnitudes of the recovered column and row, and those of the pivot's
     generator rows.  The loop also returns ``norm_L``, ``norm_U``,
-    ``norm_Lhat`` and ``norm_Uhat`` finished: it sums the squares of U's
+    ``hatL_ratio`` and ``hatU_ratio`` finished: it sums the squares of U's
     entries, and of the hatted ones, times a power of two it picks from R's
     first column and row, so that no square under- or overflows where the
-    entry does not, and divides the scale out of each root.
+    entry does not, divides the scale out of ||U||_F's root and takes each
+    ratio as the quotient of its two roots.
 
     Parameters
     ----------
@@ -327,10 +329,10 @@ def gko_factor(
     Raises
     ------
     SingularMatrixError
-        When the selected pivot magnitude is at most n*eps times the largest
-        candidate examined at that step, or when a pivot magnitude is
-        subnormal or NaN (the generators' scale took the elimination out of
-        the float range).
+        At the first step whose pivot magnitude is at most n*eps times the
+        largest candidate examined there, or is subnormal or NaN (the
+        generators' scale took the elimination out of the float range); the
+        loop stops there.
     ValueError
         When the generators and nodes differ in order, or ``hat_ratios`` is a
         string other than "auto".
@@ -379,17 +381,12 @@ def gko_factor(
         *map(_address, arrays, _KERNEL_ARRAYS),
     )
     if failed >= 0:
+        pivot, candidate = trace.pivot_magnitude[failed], norms[4]
         raise SingularMatrixError(
-            f"singular at step {failed}: pivot {trace.pivot_magnitude[failed]:.3e} "
-            f"below {n}*eps*{norms[4]:.3e}"
-        )
-    # a subnormal pivot has lost digits and one past the float range is NaN,
-    # which the kernel's relative test cannot catch; "not >=" counts NaN
-    low = ~(trace.pivot_magnitude >= np.finfo(float).tiny)
-    if low.any():
-        k = int(np.argmax(low))
-        raise SingularMatrixError(
-            f"pivot {trace.pivot_magnitude[k]:.3e} at step {k} is below the normal range"
+            f"singular at step {failed}: pivot {pivot:.3e} below {n}*eps*{candidate:.3e}"
+            if pivot <= n * EPS * candidate
+            # else the kernel stopped on a subnormal or NaN pivot
+            else f"pivot {pivot:.3e} at step {failed} is below the normal range"
         )
     return GKOFactorization(
         row_perm=Permutation(pidx),
@@ -398,8 +395,8 @@ def gko_factor(
         trace=trace,
         norm_L=float(norms[0]),
         norm_U=float(norms[1]),
-        norm_Lhat=float(norms[2]),
-        norm_Uhat=float(norms[3]),
+        hatL_ratio=float(norms[2]),
+        hatU_ratio=float(norms[3]),
     )
 
 

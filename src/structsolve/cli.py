@@ -34,15 +34,13 @@ from .core import (
     ToeplitzCoeffs,
     materialize_cauchy,
 )
-from .dft import DftPlan, scaling_D
 from .diagnostics import (
-    _frobenius_error,
     _solve_errors,
-    _toeplitz_frame,
+    backward_error_cauchy,
+    backward_error_toeplitz,
     growth_report,
     solve_quality,
 )
-from .oracle import dense_toeplitz
 from .sweep import SweepConfig, records_to_csv, run_sweep
 from .toeplitz import (
     to_cauchy_generators,
@@ -190,23 +188,23 @@ def _cmd_solve(args) -> int:
 
 
 def _factor_any(kind, payload, strategy):
+    """(gen, nodes, f, toeplitz): the Cauchy-type generators, nodes and
+    factorization, and the ``ToeplitzFactorization`` holding f, or None."""
     if kind == "toeplitz":
+        toeplitz = toeplitz_factor(payload, strategy)
         gen, nodes = to_cauchy_generators(toeplitz_generators(payload))
-    else:
-        gen, nodes = payload
-    return gen, nodes, gko_factor(gen, nodes, strategy)
+        return gen, nodes, toeplitz.inner, toeplitz
+    gen, nodes = payload
+    return gen, nodes, gko_factor(gen, nodes, strategy), None
 
 
 def _cmd_factor(args) -> int:
     kind, payload, _ = _load_system(args.input)
     strategy = PivotStrategy.coerce(args.strategy)
-    gen, nodes, f = _factor_any(kind, payload, strategy)
-    # one O(n^3) product L U serves both backward errors
-    rec = f.reconstruct()
-    errors = {"reconstruction": _frobenius_error(rec, materialize_cauchy(gen, nodes))}
-    if kind == "toeplitz":
-        frame = _toeplitz_frame(DftPlan.create(f.n), scaling_D(f.n), rec)
-        errors["toeplitz_backward"] = _frobenius_error(frame, dense_toeplitz(payload))
+    gen, nodes, f, toeplitz = _factor_any(kind, payload, strategy)
+    errors = {"reconstruction": backward_error_cauchy(gen, nodes, f)}
+    if toeplitz is not None:
+        errors["toeplitz_backward"] = backward_error_toeplitz(payload, toeplitz)
     doc = {
         "n": f.n,
         "strategy": strategy.value,
@@ -226,7 +224,7 @@ def _cmd_factor(args) -> int:
 def _cmd_growth(args) -> int:
     kind, payload, _ = _load_system(args.input)
     strategy = PivotStrategy.coerce(args.strategy)
-    gen, nodes, f = _factor_any(kind, payload, strategy)
+    _, nodes, f, _ = _factor_any(kind, payload, strategy)
     report = growth_report(f.trace, f, nodes)
     _write(json.dumps(_encode(report.to_dict()), indent=2) + "\n", args.out)
     return EXIT_OK

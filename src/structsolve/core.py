@@ -194,9 +194,13 @@ class Permutation:
     idx: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.idx, dtype=np.intp)
+        idx = np.asarray(self.idx)
+        # a cast would truncate floats and read booleans as 0 and 1
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"permutation index must be integers, got dtype {idx.dtype}")
         if idx.ndim != 1:
             raise ValueError("permutation index must be one-dimensional")
+        idx = idx.astype(np.intp, copy=False)
         if not np.array_equal(np.sort(idx), np.arange(idx.size)):
             raise ValueError("permutation index is not a bijection on 0..n-1")
         object.__setattr__(self, "idx", idx)

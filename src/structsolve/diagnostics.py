@@ -25,7 +25,6 @@ from .core import (
     ToeplitzCoeffs,
     materialize_cauchy,
 )
-from .dft import DftPlan, apply_F, apply_F_inv
 from .oracle import dense_toeplitz
 from .toeplitz import ToeplitzFactorization
 
@@ -129,12 +128,9 @@ def growth_report(
     """
     n = f.n
     _check_orders(n, trace=trace.n, nodes=nodes.n)
-    norm_l, norm_u = f.norm_L, f.norm_U
-    hatL_ratio = f.norm_Lhat / norm_l
-    hatU_ratio = f.norm_Uhat / norm_u
     # operator norm of diag{v_kk}: the constant that bounds ||L diag U||
     v_kk_norm = float(np.max(np.abs(trace.v_kk)))
-    g1 = hatL_ratio + hatU_ratio + v_kk_norm
+    g1 = f.hatL_ratio + f.hatU_ratio + v_kk_norm
 
     # np.max propagates a NaN, so g2 is NaN where the ratios were skipped,
     # and with no step 2 (n = 1) it is the initial 0
@@ -146,7 +142,7 @@ def growth_report(
     b_min = float(1.0 / gap_max)
 
     bmax_over_bmin = b_max / b_min
-    lu = norm_l * norm_u
+    lu = f.norm_L * f.norm_U
     bound_cauchy = EPS * (bmax_over_bmin * g1 + n * g2) * lu
     bound_toeplitz = EPS * g3 * n * lu
     return GrowthReport(
@@ -154,8 +150,8 @@ def growth_report(
         g2=g2,
         g3=g3,
         v_kk_norm=v_kk_norm,
-        hatL_ratio=hatL_ratio,
-        hatU_ratio=hatU_ratio,
+        hatL_ratio=f.hatL_ratio,
+        hatU_ratio=f.hatU_ratio,
         b_max=b_max,
         b_min=b_min,
         bmax_over_bmin=bmax_over_bmin,
@@ -176,14 +172,13 @@ def backward_error_cauchy(
 def backward_error_toeplitz(
     c: ToeplitzCoeffs, f: ToeplitzFactorization
 ) -> BackwardErrorReport:
-    """|| F* (P^T L U P'^T) F D - T ||_F for the Toeplitz pipeline.
+    """|| F* P^T L U P'^T F D - T ||_F for the Toeplitz pipeline.
 
-    F* M F is formed by transforms, O(n^2 log n): F is symmetric, so
-    (F* M) F = (F (F* M)^T)^T.
+    The reconstruction is ``f.reconstruct()``: one O(n^3) product L U, then
+    transforms at O(n^2 log n).
     """
     _check_orders(f.n, coefficients=c.n)
-    rec = _toeplitz_frame(f.plan, f.d, f.inner.reconstruct())
-    return _frobenius_error(rec, dense_toeplitz(c))
+    return _frobenius_error(f.reconstruct(), dense_toeplitz(c))
 
 
 def _frobenius_error(approx: np.ndarray, exact: np.ndarray) -> BackwardErrorReport:
@@ -194,19 +189,6 @@ def _frobenius_error(approx: np.ndarray, exact: np.ndarray) -> BackwardErrorRepo
     """
     abs_err = _norm(approx - exact)
     return BackwardErrorReport(abs_err=abs_err, rel_err=_relative(abs_err, _norm(exact)))
-
-
-def _toeplitz_frame(plan: DftPlan, d: np.ndarray, rec: np.ndarray) -> np.ndarray:
-    """F* rec F D, for ``rec`` = P^T L U P'^T the Cauchy-level reconstruction.
-
-    Each n^2 intermediate is dropped as soon as the next exists, so at most
-    three are alive at once, ``rec`` included.
-    """
-    left = apply_F_inv(plan, rec)
-    right = apply_F(plan, left.T)
-    del left
-    right *= d[:, None]
-    return right.T
 
 
 def recover_from_displacement(b) -> np.ndarray:
@@ -294,13 +276,14 @@ def _solve_errors(A: np.ndarray, b, x_tilde) -> BackwardErrorReport:
 def solve_quality(c: ToeplitzCoeffs, b, x_tilde) -> BackwardErrorReport:
     """Residual and forward error of a computed solution of T x = b.
 
-    The forward error is measured against LAPACK's GE/PP solution of the
-    dense T (``np.linalg.solve``), O(n^3) at BLAS speed; a T singular to
-    working precision raises ``SingularMatrixError``.
+    b is one right-hand side of shape (n,) or several as the columns of an
+    (n, m) array, and x has b's shape; otherwise ``ValueError``.  The
+    forward error is measured against LAPACK's GE/PP solution of the dense
+    T (``np.linalg.solve``), O(n^3) at BLAS speed; a T singular to working
+    precision raises ``SingularMatrixError``.
     """
     b = np.asarray(b, dtype=complex)
     x_tilde = np.asarray(x_tilde, dtype=complex)
-    T = dense_toeplitz(c)
-    if b.shape[0] != c.n or x_tilde.shape[0] != c.n:
-        raise ValueError("size mismatch between coefficients, b, and x")
-    return _solve_errors(T, b, x_tilde)
+    if b.ndim not in (1, 2) or b.shape[0] != c.n:
+        raise ValueError(f"b must have shape ({c.n},) or ({c.n}, m), got shape {b.shape}")
+    return _solve_errors(dense_toeplitz(c), b, x_tilde)

@@ -14,6 +14,7 @@ strategies actually separate.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,9 @@ class SweepConfig:
             raise ValueError("sweep order must be even and at least 4")
         if not self.delta_exponents:
             raise ValueError("delta exponents must not be empty")
+        # the summary files each record under its integer k: 2.5 would be k = 2
+        if not all(isinstance(k, numbers.Integral) for k in self.delta_exponents):
+            raise ValueError(f"delta exponents must be integers, got {self.delta_exponents!r}")
         if any(k <= 0 for k in self.delta_exponents):
             raise ValueError("delta exponents must be positive")
         # delta = 10^-k is 0 from k = 324 on; capped, a huge k cannot

@@ -49,6 +49,16 @@ class ToeplitzFactorization:
     def n(self) -> int:
         return self.plan.n
 
+    def reconstruct(self) -> np.ndarray:
+        """Dense F* M F D, the matrix this factorization represents, for
+        M = ``inner.reconstruct()``.  F is symmetric, so the transforms give
+        (F* M) F = (F (F* M)^T)^T, each n^2 intermediate dropped in turn."""
+        left = apply_F_inv(self.plan, self.inner.reconstruct())
+        right = apply_F(self.plan, left.T)
+        del left
+        right *= self.d[:, None]
+        return right.T
+
 
 def toeplitz_generators(c: ToeplitzCoeffs) -> GeneratorPair:
     """{Z_1, Z_-1}-generators of the Toeplitz matrix with coefficients ``c``.

@@ -155,7 +155,7 @@ def test_gko_factor_cancellation_growth_shows_in_trace():
 def test_gko_factor_cancelled_entry_leaves_factors_finite(strategy):
     # phi row [1, 1] against psi column [1, -1]: the step-0 column has an
     # exactly zero numerator below the pivot, so its V entry is degenerate;
-    # it must not poison the factors or the hatted norms
+    # it must not poison the factors or the hatted norm ratios
     phi = np.array([[2.0, 0.0], [1.0, 1.0], [1.0, 0.5]])
     psi = np.array([[1.0, 1.0, 1.0], [-1.0, 0.5, 2.0]])
     gen = ss.GeneratorPair(phi=phi, psi=psi)
@@ -164,7 +164,7 @@ def test_gko_factor_cancelled_entry_leaves_factors_finite(strategy):
     f = ss.gko_factor(gen, nodes, strategy)
     assert f.trace.pivot_index[0] == 0
     assert np.all(np.isfinite(f.L)) and np.all(np.isfinite(f.U))
-    assert np.isfinite(f.norm_Lhat) and np.isfinite(f.norm_Uhat)
+    assert np.isfinite(f.hatL_ratio) and np.isfinite(f.hatU_ratio)
     R = ss.materialize_cauchy(gen, nodes)
     assert np.linalg.norm(f.reconstruct() - R) <= 1e-14 * np.linalg.norm(R)
 
@@ -711,7 +711,7 @@ def test_hat_ratios_change_nothing_but_the_hat_ratio(strategy, alpha):
     gen, nodes = ss.random_cauchy_type(37, alpha, seed=alpha)
     on = ss.gko_factor(gen, nodes, strategy, hat_ratios=True)
     off = ss.gko_factor(gen, nodes, strategy, hat_ratios=False)
-    for name in ("L", "U", "norm_L", "norm_U", "norm_Lhat", "norm_Uhat"):
+    for name in ("L", "U", "norm_L", "norm_U", "hatL_ratio", "hatU_ratio"):
         assert np.asarray(getattr(on, name)).tobytes() == np.asarray(getattr(off, name)).tobytes()
     assert np.array_equal(on.row_perm.idx, off.row_perm.idx)
     assert np.array_equal(on.col_perm.idx, off.col_perm.idx)
@@ -723,12 +723,13 @@ def test_hat_ratios_change_nothing_but_the_hat_ratio(strategy, alpha):
 
 def _step_statistics_from_factors(gen, nodes, f):
     """Every per-step trace statistic of the rebuilt step generators, and the
-    hatted norms of the factors.
+    hatted norm ratios of the factors.
 
     Each step's first column and row are recovered from its generators, and
     the pivot, v_kk and the squared hatted norms of the step's column of L
     and row of U follow from their definitions; ||Lhat||_F and ||Uhat||_F
-    are the roots of the sums of those squares over the steps.
+    are the roots of the sums of those squares over the steps, and each
+    ratio divides one of them by the dense Frobenius norm of the factor.
     """
     names = ("pivot_magnitude", "v_kk")
     out = {name: np.empty(f.n, dtype=complex if name == "v_kk" else float) for name in names}
@@ -745,7 +746,10 @@ def _step_statistics_from_factors(gen, nodes, f):
         hat_l = col_num[1:] / (np.abs(t_k[1:] - s_k[0]) * abs(u_kk))
         hat_l_sq[k] = abs(v_kk) ** 2 + np.sum(hat_l**2)
         hat_u_sq[k] = np.sum((row_num / np.abs(t_k[0] - s_k)) ** 2)
-    return out, {"norm_Lhat": np.sqrt(hat_l_sq.sum()), "norm_Uhat": np.sqrt(hat_u_sq.sum())}
+    return out, {
+        "hatL_ratio": np.sqrt(hat_l_sq.sum()) / np.linalg.norm(f.L),
+        "hatU_ratio": np.sqrt(hat_u_sq.sum()) / np.linalg.norm(f.U),
+    }
 
 
 @pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
@@ -753,10 +757,10 @@ def test_step_statistics_match_dense_schur_complement_oracle(strategy):
     for seed in range(6):
         gen, nodes = ss.random_cauchy_type(40, 3, seed=seed)
         f = ss.gko_factor(gen, nodes, strategy, hat_ratios=False)
-        steps, hat_norms = _step_statistics_from_factors(gen, nodes, f)
+        steps, ratios = _step_statistics_from_factors(gen, nodes, f)
         for name, expected in steps.items():
             assert_allclose(getattr(f.trace, name), expected, rtol=1e-9, err_msg=f"{name}, seed {seed}")
-        for name, expected in hat_norms.items():
+        for name, expected in ratios.items():
             assert_allclose(getattr(f, name), expected, rtol=1e-12, err_msg=f"{name}, seed {seed}")
 
 
@@ -824,8 +828,8 @@ def _ldexp(z, e):
 def _assert_scaled_factors(f, g, nodes, exponent, rtol=0.0):
     """g factors the matrix of f times 2^exponent: the same pivots and L, and
     U and ||U||_F times 2^exponent, bit for bit.  The same v_kk, hat ratios,
-    ||Lhat||_F and growth factors, and the pivot magnitudes and ||Uhat||_F
-    times 2^exponent, bit for bit when rtol is 0 and to rtol otherwise."""
+    hatted norm ratios and growth factors, and the pivot magnitudes times
+    2^exponent, bit for bit when rtol is 0 and to rtol otherwise."""
 
     def same(got, expected, name):
         if rtol:
@@ -842,8 +846,8 @@ def _assert_scaled_factors(f, g, nodes, exponent, rtol=0.0):
     for name in ("v_kk", "hat_ratio"):
         same(getattr(g.trace, name), getattr(f.trace, name), name)
     same(g.trace.pivot_magnitude, np.ldexp(f.trace.pivot_magnitude, exponent), "pivot_magnitude")
-    same(g.norm_Lhat, f.norm_Lhat, "norm_Lhat")
-    same(g.norm_Uhat, np.ldexp(f.norm_Uhat, exponent), "norm_Uhat")
+    same(g.hatL_ratio, f.hatL_ratio, "hatL_ratio")
+    same(g.hatU_ratio, f.hatU_ratio, "hatU_ratio")
     expected, got = ss.growth_report(f.trace, f, nodes), ss.growth_report(g.trace, g, nodes)
     for name in ("g1", "g2", "hatL_ratio", "hatU_ratio", "v_kk_norm"):
         same(getattr(got, name), getattr(expected, name), name)
@@ -921,6 +925,22 @@ def test_scaled_generators_and_nodes_keep_every_ratio(n, alpha, seed, strategy, 
     for name in ("g1", "g2", "g3", "v_kk_norm", "hatL_ratio", "hatU_ratio", "bmax_over_bmin"):
         assert getattr(got, name) == getattr(expected, name), name
     assert np.isfinite(got.g1)
+
+
+def test_hatted_ratios_stay_finite_where_the_hatted_norm_overflows():
+    # phi and psi each times 2^500 scale U by 2^1000: ||U||_F is 1.77e302
+    # and ||Uhat||_F = hatU_ratio ||U||_F about 3.0e308, past the float
+    # range, but the ratios and g1 are the unscaled ones, bit for bit
+    c = ss.adversarial_toeplitz(ss.AdversarialSpec(64, 1e-8))
+    gen, nodes = ss.to_cauchy_generators(ss.toeplitz_generators(c))
+    scaled = ss.GeneratorPair(phi=_ldexp(gen.phi, 500), psi=_ldexp(gen.psi, 500))
+    for g in (gen, scaled):
+        f = ss.gko_factor(g, nodes, "partial")
+        report = ss.growth_report(f.trace, f, nodes)
+        assert f.hatL_ratio == report.hatL_ratio == 43279995.44950157
+        assert f.hatU_ratio == report.hatU_ratio == 1720190.4202607379
+        assert report.g1 == 245000188.0840519
+    assert f.norm_U > 1e302
 
 
 @pytest.mark.parametrize(
@@ -1021,7 +1041,7 @@ def test_kernel_built_for_the_base_isa_gives_the_same_bits(tmp_path, monkeypatch
 
     for (gen, nodes, strategy), f in zip(cases, expected):
         got = ss.gko_factor(gen, nodes, strategy)
-        for name in ("L", "U", "norm_L", "norm_U", "norm_Lhat", "norm_Uhat"):
+        for name in ("L", "U", "norm_L", "norm_U", "hatL_ratio", "hatU_ratio"):
             assert bits(getattr(got, name)) == bits(getattr(f, name)), (name, strategy)
         for name in (fld.name for fld in dataclasses.fields(f.trace)):
             assert bits(getattr(got.trace, name)) == bits(getattr(f.trace, name)), (name, strategy)

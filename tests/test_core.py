@@ -12,6 +12,24 @@ def test_permutation_rejects_non_bijection():
         ss.Permutation(np.array([0, 0, 2]))
 
 
+@pytest.mark.parametrize(
+    "idx",
+    [[0.9, 1.2, 2.99], [True, False], np.array([1.0, 0.0])],
+    ids=["float", "bool", "float-array"],
+)
+def test_permutation_rejects_an_index_that_is_not_integers(idx):
+    # cast to intp, the floats would truncate to [0, 1, 2] and the booleans
+    # read as [1, 0], both bijections
+    with pytest.raises(ValueError, match="integers"):
+        ss.Permutation(idx)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8, np.intp])
+def test_permutation_accepts_any_integer_dtype(dtype):
+    p = ss.Permutation(np.array([2, 0, 1], dtype=dtype))
+    assert p.idx.dtype == np.intp and p.idx.tolist() == [2, 0, 1]
+
+
 def test_materialize_single_entry():
     gen = ss.GeneratorPair(phi=np.ones((1, 1)), psi=np.ones((1, 1)))
     nodes = ss.CauchyNodes(t=[2.0], s=[0.0])

@@ -381,6 +381,17 @@ def test_solve_quality_nan_answer_reads_nan_whatever_the_rhs(b):
     assert np.isnan(rep.residual) and np.isnan(rep.forward_err)
 
 
+@pytest.mark.parametrize("shape", [(), (4, 1, 1), (3,)], ids=["0-d", "3-d", "short"])
+@pytest.mark.parametrize("which", ["b", "x"])
+def test_solve_quality_refuses_b_or_x_of_another_shape(which, shape):
+    # a 0-d b or x used to fail with IndexError on its shape[0]
+    coeffs = ss.random_toeplitz(4, seed=1)
+    args = {"b": np.ones(4), "x": np.ones(4)}
+    args[which] = np.ones(shape)
+    with pytest.raises(ValueError, match="shape"):
+        ss.solve_quality(coeffs, args["b"], args["x"])
+
+
 @pytest.mark.parametrize("column", ["x", "b"])
 def test_solve_quality_refuses_a_column_against_a_vector(column):
     # (8, 1) - (8,) would broadcast to an 8 x 8 array and read a forward

@@ -111,6 +111,21 @@ def test_factor_random_reconstruction():
     assert err <= 1e-11 * np.linalg.norm(f.inner.L) * np.linalg.norm(f.inner.U)
 
 
+@pytest.mark.parametrize("strategy", ["partial", "row1col1"])
+def test_reconstruct_matches_the_dense_transform(strategy):
+    # F* (P^T L U P'^T) F D with a dense F, against the transforms
+    n = 12
+    coeffs = ss.adversarial_toeplitz(ss.AdversarialSpec(n=n, delta=1e-3))
+    f = ss.toeplitz_factor(coeffs, strategy)
+    F = ss.apply_F(f.plan, np.eye(n))
+    expected = F.conj().T @ f.inner.reconstruct() @ F * f.d[None, :]
+    got = f.reconstruct()
+    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+    T = ss.dense_toeplitz(coeffs)
+    assert np.linalg.norm(got - T) <= 1e-12 * np.linalg.norm(T)
+    assert ss.backward_error_toeplitz(coeffs, f).abs_err == float(np.linalg.norm(got - T))
+
+
 def test_factor_adversarial_partial_pivoting_is_unstable():
     # the Tx=1 experiment at delta=1e-6: the residual left by ordinary
     # partial pivoting is driven by generator growth, far above roundoff
