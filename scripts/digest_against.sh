@@ -26,8 +26,15 @@
 # both trees, and diffs each command's output, standard error and exit code.
 # Order 300 is past HAT_RATIO_AUTO_LIMIT, so `growth` reports its NaN g2
 # there, and it spans several blocks of the blocked substitution.
-# Exits 0 when every pair of outputs is identical, 1 when any differs and 2
-# on a usage or setup error.  The temporary directory is removed on exit.
+# Then it prints the public surface of both trees, every name in
+# `structsolve.__all__` with the signature of each callable and the public
+# members of each exported class (methods, properties and dataclass
+# fields), and diffs the two.  A change there is reported but does not set
+# the exit status: a deliberate removal is not a fault, yet a change to a
+# name that perfbench imports shows before a benchmark run stops on it.
+# Exits 0 when the digests, the sweep and the CLI runs are identical, 1
+# when any differs and 2 on a usage or setup error.  The temporary
+# directory is removed on exit.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -65,7 +72,6 @@ import sys
 import numpy as np
 
 import structsolve as ss
-from structsolve.oracle import dense_toeplitz
 
 
 def pairs(a):
@@ -76,7 +82,7 @@ def pairs(a):
 def toeplitz(coeffs):
     return {
         "toeplitz": {"n": coeffs.n, "a": pairs(coeffs.a)},
-        "b": pairs(dense_toeplitz(coeffs) @ np.ones(coeffs.n)),
+        "b": pairs(ss.dense_toeplitz(coeffs) @ np.ones(coeffs.n)),
     }
 
 
@@ -115,6 +121,52 @@ cli() {
 cli "$tmp/tree" "$tmp/cli-before"
 cli "$here" "$tmp/cli-after"
 
+# the package's public surface, one line per exported name and per public
+# member of an exported class
+cat > "$tmp/surface.py" <<'EOF'
+import dataclasses
+import inspect
+
+import structsolve as ss
+
+
+def signature(obj):
+    try:
+        return str(inspect.signature(obj))
+    except (TypeError, ValueError):
+        return "(?)"
+
+
+for name in ss.__all__:
+    obj = getattr(ss, name)
+    if not inspect.isclass(obj):
+        print(f"{name}{signature(obj)}" if callable(obj) else f"{name} = {obj!r}")
+        continue
+    print(f"class {name}{signature(obj)}")
+    fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
+    for field in sorted(fields):
+        print(f"    {name}.{field}: field")
+    # members defined in the package, inherited ones included; numpy's and
+    # the standard library's are not the package's surface
+    members = {}
+    for cls in reversed(obj.__mro__):
+        if cls.__module__.startswith("structsolve"):
+            members.update(vars(cls))
+    for member, value in sorted(members.items()):
+        if member.startswith("_") or member in fields:
+            continue
+        if isinstance(value, property):
+            print(f"    {name}.{member}: property")
+        elif isinstance(value, (classmethod, staticmethod)):
+            print(f"    {name}.{member}{signature(getattr(obj, member))}: {type(value).__name__}")
+        elif callable(value):
+            print(f"    {name}.{member}{signature(value)}: method")
+        else:
+            print(f"    {name}.{member} = {value!r}")
+EOF
+PYTHONPATH="$tmp/tree/src" python3 "$tmp/surface.py" > "$tmp/surface-before.txt" || exit 2
+PYTHONPATH="$here/src" python3 "$tmp/surface.py" > "$tmp/surface-after.txt" || exit 2
+
 status=0
 if diff "$tmp/before.txt" "$tmp/after.txt"; then
     echo "identical: $(wc -l < "$tmp/after.txt") lines at ${rev:0:12} and in $here"
@@ -152,5 +204,10 @@ if diff -r "$tmp/cli-before" "$tmp/cli-after"; then
 else
     echo "CLI output differs"
     status=1
+fi
+if diff "$tmp/surface-before.txt" "$tmp/surface-after.txt"; then
+    echo "public surface identical: $(grep -c '^[^ ]' "$tmp/surface-after.txt") names"
+else
+    echo "public surface differs (reported only: the exit status ignores it)"
 fi
 exit $status

@@ -103,8 +103,8 @@ class GKOFactorization:
 
     ``row_perm`` is P and ``col_perm`` is P' (identity unless the
     row-1/column-1 strategy performed column interchanges), both as
-    row-selection permutations, so the source matrix is recovered as
-    ``row_perm.matrix().T @ L @ U @ col_perm.matrix().T``.  ``LU`` holds
+    row-selection permutations (P = I[row_perm.idx]), so the source matrix
+    P^T L U P'^T is what ``reconstruct()`` returns.  ``LU`` holds
     both factors in one n x n array, as LAPACK's xGETRF stores them: L
     strictly below the diagonal, its unit diagonal implied, and U on and
     above it.  ``norm_L`` and ``norm_U`` are the Frobenius norms of L and U,

@@ -13,8 +13,8 @@ or
 where every number is either a real scalar or an [re, im] pair.  ``b`` is
 required by ``solve`` and optional elsewhere.
 
-Exit codes: 0 success, 2 malformed input, 3 singular system, 4 node
-collision.
+Exit codes: 0 success, 2 malformed input or an ``--out`` path that cannot
+be written, 3 singular system, 4 node collision.
 """
 
 from __future__ import annotations
@@ -153,8 +153,11 @@ def _load_system(path):
 
 def _write(payload: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 

@@ -7,6 +7,7 @@ real: the simplicity is worth the memory even at orders in the thousands
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "ToeplitzCoeffs",
     "Permutation",
     "materialize_cauchy",
+    "dense_toeplitz",
 ]
 
 #: relative node separation below which a Cauchy node pair is rejected
@@ -53,6 +55,26 @@ def _as_complex_matrix(m, name="matrix"):
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
     return arr
+
+
+def _order(n, minimum: int = 1, message: str | None = None, name: str = "order") -> int:
+    """n as a Python int, refusing what is not an integer or is below ``minimum``.
+
+    Any integer type passes through ``operator.index`` (``np.int64``
+    included); a float such as 2.5 is refused rather than truncated, and a
+    bool, which ``operator.index`` takes for 0 or 1, is refused too.  An
+    integer below ``minimum`` raises ``message``, by default "<name> must be
+    positive, got <n>".
+    """
+    if isinstance(n, bool):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if n < minimum:
+        raise ValueError(message or f"{name} must be positive, got {n}")
+    return n
 
 
 def _gap_extrema(t: np.ndarray, s: np.ndarray) -> tuple[float, float]:
@@ -175,20 +197,13 @@ class ToeplitzCoeffs:
     def n(self) -> int:
         return (self.a.size + 1) // 2
 
-    def diag(self, k: int):
-        """Coefficient a_k for k in [1-n, n-1] (k>0 is below the diagonal)."""
-        n = self.n
-        if not -n < k < n:
-            raise IndexError(f"diagonal index {k} out of range for order {n}")
-        return self.a[k + n - 1]
-
 
 @dataclass(frozen=True)
 class Permutation:
     """Index-vector permutation that selects rows ``idx`` of a matrix.
 
     As a matrix, P = I[idx] (rows of the identity), so that
-    ``m[p.idx] == P @ m`` and ``m[p.idx][p.inverse().idx] == m``.
+    ``m[p.idx] == P @ m`` and ``m[p.idx][np.argsort(p.idx)] == m``.
     """
 
     idx: np.ndarray
@@ -205,22 +220,9 @@ class Permutation:
             raise ValueError("permutation index is not a bijection on 0..n-1")
         object.__setattr__(self, "idx", idx)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n))
-
     @property
     def n(self) -> int:
         return self.idx.size
-
-    def inverse(self) -> "Permutation":
-        return Permutation(np.argsort(self.idx))
-
-    def matrix(self) -> np.ndarray:
-        return np.eye(self.n, dtype=complex)[self.idx]
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.idx, np.arange(self.n)))
 
 
 def materialize_cauchy(gen: GeneratorPair, nodes: CauchyNodes) -> np.ndarray:
@@ -228,3 +230,10 @@ def materialize_cauchy(gen: GeneratorPair, nodes: CauchyNodes) -> np.ndarray:
     if gen.n != nodes.n:
         raise ValueError(f"generators are order {gen.n}, nodes are order {nodes.n}")
     return (gen.phi @ gen.psi) / nodes.gaps()
+
+
+def dense_toeplitz(c: ToeplitzCoeffs) -> np.ndarray:
+    """Materialize the order-n Toeplitz matrix t_{ij} = a_{i-j}."""
+    n = c.n
+    i = np.arange(n)
+    return c.a[(i[:, None] - i[None, :]) + n - 1]

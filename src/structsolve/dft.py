@@ -10,33 +10,14 @@ in numpy's convention and F* = F^{-1}.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import CauchyNodes
+from .core import CauchyNodes, _order
 
 __all__ = ["DftPlan", "apply_F", "apply_F_inv", "toeplitz_cauchy_nodes", "scaling_D"]
-
-
-def _order(n) -> int:
-    """n as a Python int, refusing orders that are not positive integers.
-
-    Any integer type passes through ``operator.index`` (``np.int64``
-    included); a float such as 2.5 is refused rather than truncated, and a
-    bool, which ``operator.index`` takes for 0 or 1, is refused too.
-    """
-    if isinstance(n, bool):
-        raise ValueError(f"order must be an integer, got {n!r}")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"order must be an integer, got {n!r}") from None
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
-    return n
 
 
 @dataclass(frozen=True)

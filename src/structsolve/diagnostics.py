@@ -23,9 +23,9 @@ from .core import (
     GeneratorPair,
     SingularMatrixError,
     ToeplitzCoeffs,
+    dense_toeplitz,
     materialize_cauchy,
 )
-from .oracle import dense_toeplitz
 from .toeplitz import ToeplitzFactorization
 
 __all__ = [

@@ -1,8 +1,10 @@
-"""Dense O(n^3) reference implementations used as ground truth in tests.
+"""Dense O(n^3) GE/PP references: ground truth in the tests, and the
+sweep's ``cond`` column (:func:`cond_estimate`).
 
 Deliberately shares no code with the generator-based elimination in
 ``cauchy_gko``: these routines accumulate the full matrix at every step, so
-agreement between the two paths is meaningful evidence.
+agreement between the two paths is meaningful evidence.  The dense Toeplitz
+and Cauchy-type matrices themselves come from ``core``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, Permutation, SingularMatrixError, ToeplitzCoeffs
+from .core import EPS, Permutation, SingularMatrixError
 
 __all__ = [
     "DenseFactorization",
@@ -19,7 +21,6 @@ __all__ = [
     "dense_solve",
     "dense_schur_complement",
     "cond_estimate",
-    "dense_toeplitz",
 ]
 
 
@@ -118,10 +119,3 @@ def cond_estimate(a) -> float:
     A = np.asarray(a, dtype=complex)
     inv = dense_solve(A, np.eye(A.shape[0], dtype=complex))
     return float(np.linalg.norm(A) * np.linalg.norm(inv))
-
-
-def dense_toeplitz(c: ToeplitzCoeffs) -> np.ndarray:
-    """Materialize the order-n Toeplitz matrix t_{ij} = a_{i-j}."""
-    n = c.n
-    i = np.arange(n)
-    return c.a[(i[:, None] - i[None, :]) + n - 1]

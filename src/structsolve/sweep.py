@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy_gko import PivotStrategy
-from .core import SingularMatrixError
+from .core import SingularMatrixError, _order, dense_toeplitz
 from .dft import toeplitz_cauchy_nodes
 from .diagnostics import backward_error_toeplitz, growth_report, solve_quality
-from .oracle import cond_estimate, dense_toeplitz
+from .oracle import cond_estimate
 from .testgen import AdversarialSpec, adversarial_toeplitz
 from .toeplitz import toeplitz_factor, toeplitz_solve
 
@@ -58,8 +58,11 @@ class SweepConfig:
     strategies: tuple = (PivotStrategy.PARTIAL_ROW, PivotStrategy.ROW1_COL1)
 
     def __post_init__(self):
-        if self.n < 4 or self.n % 2 != 0:
-            raise ValueError("sweep order must be even and at least 4")
+        message = "sweep order must be even and at least 4"
+        n = _order(self.n, 4, message)
+        if n % 2 != 0:
+            raise ValueError(message)
+        object.__setattr__(self, "n", n)
         if not self.delta_exponents:
             raise ValueError("delta exponents must not be empty")
         # the summary files each record under its integer k: 2.5 would be k = 2
@@ -71,6 +74,8 @@ class SweepConfig:
         # overflow the conversion to float
         if any(10.0 ** -min(k, 400) == 0.0 for k in self.delta_exponents):
             raise ValueError("delta exponents must be at most 323: delta = 10^-k rounds to 0")
+        if not self.strategies:
+            raise ValueError("strategies must not be empty")
         object.__setattr__(
             self,
             "strategies",

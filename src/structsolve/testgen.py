@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CauchyNodes, GeneratorPair, ToeplitzCoeffs
+from .core import CauchyNodes, GeneratorPair, ToeplitzCoeffs, _order
 
 __all__ = [
     "AdversarialSpec",
@@ -34,8 +34,11 @@ class AdversarialSpec:
     delta: float
 
     def __post_init__(self):
-        if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"order must be even and at least 4, got {self.n}")
+        message = f"order must be even and at least 4, got {self.n}"
+        n = _order(self.n, 4, message)
+        if n % 2 != 0:
+            raise ValueError(message)
+        object.__setattr__(self, "n", n)
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
 
@@ -84,8 +87,7 @@ def cancellation_cauchy(n: int, f_norm: float, seed: int):
     V-matrix is uniformly O(1/f_norm) yet the materialized matrix itself is
     well-conditioned.  Returns ``(GeneratorPair, CauchyNodes)``.
     """
-    if n < 2:
-        raise ValueError("order must be at least 2")
+    n = _order(n, 2, "order must be at least 2")
     if not 0.0 < f_norm <= 1.0:
         raise ValueError(f"f_norm must lie in (0, 1], got {f_norm}")
     rng = np.random.default_rng(seed)
@@ -100,18 +102,18 @@ def cancellation_cauchy(n: int, f_norm: float, seed: int):
 
 def random_toeplitz(n: int, seed: int) -> ToeplitzCoeffs:
     """Order-n Toeplitz coefficients i.i.d. uniform on [-1, 1]."""
-    if n < 2:
-        raise ValueError("order must be at least 2")
+    n = _order(n, 2, "order must be at least 2")
     rng = np.random.default_rng(seed)
     return ToeplitzCoeffs(a=rng.uniform(-1.0, 1.0, 2 * n - 1))
 
 
 def random_cauchy_type(n: int, alpha: int, seed: int):
     """Random rank-alpha Cauchy-type instance with well-separated nodes."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    if not 1 <= alpha <= 4:
-        raise ValueError(f"displacement rank must be in 1..4, got {alpha}")
+    n = _order(n, 1, "order must be positive")
+    message = f"displacement rank must be in 1..4, got {alpha}"
+    alpha = _order(alpha, 1, message, name="displacement rank")
+    if alpha > 4:
+        raise ValueError(message)
     rng = np.random.default_rng(seed)
     nodes = _interleaved_nodes(n, rng)
     phi = rng.uniform(-1.0, 1.0, (n, alpha))

@@ -23,9 +23,8 @@ from .cauchy_gko import (
     _solve_scaled,
     gko_factor,
 )
-from .core import GeneratorPair, ToeplitzCoeffs
+from .core import GeneratorPair, ToeplitzCoeffs, dense_toeplitz
 from .dft import DftPlan, apply_F, apply_F_inv, scaling_D, toeplitz_cauchy_nodes
-from .oracle import dense_toeplitz
 
 __all__ = [
     "ToeplitzFactorization",

@@ -67,6 +67,31 @@ def test_sweep_config_validation():
         with pytest.raises(ValueError, match="integers"):
             ss.SweepConfig(delta_exponents=exponents)
     assert ss.SweepConfig(delta_exponents=(np.int64(2), 3)).delta_exponents == (2, 3)
+    # no strategy would run a sweep of zero records that reports all_ok
+    with pytest.raises(ValueError, match="strategies must not be empty"):
+        ss.SweepConfig(strategies=())
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (8.0, "order must be an integer, got 8.0"),
+        (True, "order must be an integer, got True"),
+        ("8", "order must be an integer, got '8'"),
+        (5, "sweep order must be even and at least 4"),
+        (2, "sweep order must be even and at least 4"),
+        (0, "sweep order must be even and at least 4"),
+    ],
+    ids=["float", "bool", "str", "odd", "small", "zero"],
+)
+def test_sweep_config_refuses_an_order_that_is_not_an_even_integer(n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ss.SweepConfig(n=n)
+
+
+def test_sweep_config_keeps_an_integer_order_as_int():
+    config = ss.SweepConfig(n=np.int64(8))
+    assert type(config.n) is int and config.n == 8
 
 
 def _write_json(path, doc):
@@ -432,3 +457,22 @@ def test_cli_growth_above_the_hat_ratio_limit_writes_nan_for_g2(tmp_path, capsys
     for name in ("g2", "g3", "bound_cauchy", "bound_toeplitz"):
         assert rep[name] == "nan", name
     assert isinstance(rep["g1"], float) and np.isfinite(rep["g1"])
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+@pytest.mark.parametrize(
+    "args",
+    [["solve", "SYS"], ["factor", "SYS"], ["growth", "SYS"],
+     ["sweep", "--n", "4", "--delta-exp-min", "2", "--delta-exp-max", "2"]],
+    ids=["solve", "factor", "growth", "sweep"],
+)
+def test_cli_unwritable_out_is_an_input_error(tmp_path, capsys, args, where):
+    sys_path = _write_json(tmp_path / "sys.json", _identity_toeplitz_doc(4, [1.0] * 4))
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    argv = [sys_path if a == "SYS" else a for a in args] + ["--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"structsolve: input error: cannot write {out}: ")

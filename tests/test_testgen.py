@@ -10,12 +10,14 @@ import structsolve as ss
 def test_adversarial_exact_coefficients():
     coeffs = ss.adversarial_toeplitz(ss.AdversarialSpec(n=8, delta=1e-3))
     s8, c8 = np.sin(np.pi / 8), np.cos(np.pi / 8)
-    assert coeffs.diag(0) == 1.0
-    assert coeffs.diag(3) == -s8
-    assert coeffs.diag(7) == c8 + 5e-4
-    assert coeffs.diag(-5) == s8
-    assert coeffs.diag(-1) == -(c8 + 5e-4)
-    nonzero = {k for k in range(-7, 8) if coeffs.diag(k) != 0.0}
+    # a_k sits at a[k + n - 1], as dense_toeplitz reads it
+    a = coeffs.a
+    assert a[0 + 7] == 1.0
+    assert a[3 + 7] == -s8
+    assert a[7 + 7] == c8 + 5e-4
+    assert a[-5 + 7] == s8
+    assert a[-1 + 7] == -(c8 + 5e-4)
+    nonzero = {k for k in range(-7, 8) if a[k + 7] != 0.0}
     assert nonzero == {0, 3, 7, -5, -1}
 
 
@@ -25,7 +27,7 @@ def test_adversarial_is_real_toeplitz():
     T = ss.dense_toeplitz(coeffs)
     assert np.all(T.imag == 0.0)
     for k in range(-11, 12):
-        assert np.all(np.diag(T, -k) == coeffs.diag(k))
+        assert np.all(np.diag(T, -k) == coeffs.a[k + 11])
 
 
 def test_adversarial_spec_validation():
@@ -37,6 +39,31 @@ def test_adversarial_spec_validation():
         ss.AdversarialSpec(n=8, delta=0.0)
     with pytest.raises(ValueError):
         ss.AdversarialSpec(n=8, delta=2.0)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (8.0, "order must be an integer, got 8.0"),
+        (True, "order must be an integer, got True"),
+        (np.float64(8), "order must be an integer, got "),
+        (7, "order must be even and at least 4, got 7"),
+        (2, "order must be even and at least 4, got 2"),
+        (0, "order must be even and at least 4, got 0"),
+    ],
+    ids=["float", "bool", "numpy-float", "odd", "small", "zero"],
+)
+def test_adversarial_spec_refuses_an_order_that_is_not_an_even_integer(n, message):
+    # a float used to pass here and fail inside adversarial_toeplitz
+    with pytest.raises(ValueError, match=message):
+        ss.AdversarialSpec(n=n, delta=0.1)
+
+
+def test_adversarial_spec_keeps_an_integer_order_as_int():
+    spec = ss.AdversarialSpec(n=np.int64(8), delta=0.1)
+    assert type(spec.n) is int
+    assert np.array_equal(ss.adversarial_toeplitz(spec).a,
+                          ss.adversarial_toeplitz(ss.AdversarialSpec(8, 0.1)).a)
 
 
 def test_adversarial_cancellation_magnitude():
@@ -144,3 +171,50 @@ def test_random_cauchy_validation():
         ss.random_cauchy_type(0, 1, 0)
     with pytest.raises(ValueError):
         ss.random_cauchy_type(8, 5, 0)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (8.0, "order must be an integer, got 8.0"),
+        (True, "order must be an integer, got True"),
+        (1, "order must be at least 2"),
+    ],
+    ids=["float", "bool", "one"],
+)
+def test_cancellation_cauchy_refuses_an_order_that_is_not_an_integer(n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ss.cancellation_cauchy(n, 1e-2, 0)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (8.0, "order must be an integer, got 8.0"),
+        (True, "order must be an integer, got True"),
+        (1, "order must be at least 2"),
+    ],
+    ids=["float", "bool", "one"],
+)
+def test_random_toeplitz_refuses_an_order_that_is_not_an_integer(n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ss.random_toeplitz(n, 1)
+
+
+@pytest.mark.parametrize(
+    "n, alpha, message",
+    [
+        (8.0, 1, "order must be an integer, got 8.0"),
+        (True, 1, "order must be an integer, got True"),
+        (0, 1, "order must be positive"),
+        (4, 2.0, "displacement rank must be an integer, got 2.0"),
+        (4, False, "displacement rank must be an integer, got False"),
+        (4, 0, r"displacement rank must be in 1\.\.4, got 0"),
+        (4, 5, r"displacement rank must be in 1\.\.4, got 5"),
+    ],
+    ids=["float-n", "bool-n", "zero-n", "float-alpha", "bool-alpha", "zero-alpha", "big-alpha"],
+)
+def test_random_cauchy_type_refuses_an_order_or_rank_that_is_not_an_integer(n, alpha, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ss.random_cauchy_type(n, alpha, 1)
+
