@@ -94,6 +94,9 @@ def _encode(obj):
     if isinstance(obj, complex):
         return [_encode(obj.real), _encode(obj.imag)]
     if isinstance(obj, np.ndarray):
+        # a non-finite entry takes the recursion, which writes it as a string
+        if np.iscomplexobj(obj) and np.isfinite(obj).all():
+            return np.stack((obj.real, obj.imag), -1).tolist()
         return [_encode(x) for x in obj.tolist()]
     if isinstance(obj, list):
         return [_encode(x) for x in obj]
@@ -162,11 +165,14 @@ def _write(payload: str, out_path):
         sys.stdout.write(payload)
 
 
-def _solve_or_input_error(solve, f, b):
-    # the solvers raise ValueError on a non-finite b and on a solution
-    # past the float64 range
+def _or_input_error(fn, *args):
+    # the library raises ValueError on a non-finite b, on a solution past
+    # the float64 range and on Toeplitz generators that overflow it; its
+    # singular and collision errors are ValueErrors with exit codes of their own
     try:
-        return solve(f, b)
+        return fn(*args)
+    except (SingularMatrixError, NodeCollisionError):
+        raise
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -177,13 +183,13 @@ def _cmd_solve(args) -> int:
         raise InputError("'solve' needs a right-hand side 'b' in the system file")
     strategy = PivotStrategy.coerce(args.strategy)
     if kind == "toeplitz":
-        f = toeplitz_factor(payload, strategy)
-        x = _solve_or_input_error(toeplitz_solve, f, b)
+        f = _or_input_error(toeplitz_factor, payload, strategy)
+        x = _or_input_error(toeplitz_solve, f, b)
         report = solve_quality(payload, b, x)
     else:
         gen, nodes = payload
         f = gko_factor(gen, nodes, strategy)
-        x = _solve_or_input_error(solve_with_factors, f, b)
+        x = _or_input_error(solve_with_factors, f, b)
         report = _solve_errors(materialize_cauchy(gen, nodes), b, x)
     doc = {"x": _encode(x), "report": _encode(report.to_dict())}
     _write(json.dumps(doc, indent=2) + "\n", args.out)
@@ -194,7 +200,7 @@ def _factor_any(kind, payload, strategy):
     """(gen, nodes, f, toeplitz): the Cauchy-type generators, nodes and
     factorization, and the ``ToeplitzFactorization`` holding f, or None."""
     if kind == "toeplitz":
-        toeplitz = toeplitz_factor(payload, strategy)
+        toeplitz = _or_input_error(toeplitz_factor, payload, strategy)
         gen, nodes = to_cauchy_generators(toeplitz_generators(payload))
         return gen, nodes, toeplitz.inner, toeplitz
     gen, nodes = payload

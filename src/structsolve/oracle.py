@@ -19,7 +19,6 @@ __all__ = [
     "DenseFactorization",
     "dense_gepp_factor",
     "dense_solve",
-    "dense_schur_complement",
     "cond_estimate",
 ]
 
@@ -89,24 +88,6 @@ def dense_solve(a, b) -> np.ndarray:
     if b.shape[0] != f.n:
         raise ValueError(f"matrix is order {f.n}, b has length {b.shape[0]}")
     return _substitute(f, b)
-
-
-def dense_schur_complement(a, k: int) -> np.ndarray:
-    """Trailing (n-k) x (n-k) block after k unpivoted elimination steps.
-
-    Equals A22 - A21 A11^{-1} A12 for the leading k x k block A11, which must
-    be nonsingular (no pivoting is performed; a zero pivot raises).
-    """
-    A = np.array(a, dtype=complex)
-    n = A.shape[0]
-    if not 0 <= k <= n:
-        raise ValueError(f"step count {k} out of range for order {n}")
-    for step in range(k):
-        piv = A[step, step]
-        if piv == 0:
-            raise SingularMatrixError(f"zero pivot at unpivoted step {step}")
-        A[step + 1 :, step:] -= np.outer(A[step + 1 :, step] / piv, A[step, step:])
-    return A[k:, k:]
 
 
 def cond_estimate(a) -> float:

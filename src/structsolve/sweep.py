@@ -51,6 +51,8 @@ class SweepConfig:
     """Sweep parameters; defaults follow the order-8, k = 2..16 experiment.
 
     The right-hand side is always b = T @ 1 (see the module docstring).
+    A config is one hashable value: tuples of distinct int exponents and of
+    distinct ``PivotStrategy`` members.
     """
 
     n: int = 8
@@ -63,24 +65,35 @@ class SweepConfig:
         if n % 2 != 0:
             raise ValueError(message)
         object.__setattr__(self, "n", n)
-        if not self.delta_exponents:
+        exponents = tuple(self.delta_exponents)
+        if not exponents:
             raise ValueError("delta exponents must not be empty")
         # the summary files each record under its integer k: 2.5 would be k = 2
-        if not all(isinstance(k, numbers.Integral) for k in self.delta_exponents):
-            raise ValueError(f"delta exponents must be integers, got {self.delta_exponents!r}")
-        if any(k <= 0 for k in self.delta_exponents):
+        if not all(isinstance(k, numbers.Integral) for k in exponents):
+            raise ValueError(f"delta exponents must be integers, got {exponents!r}")
+        exponents = tuple(map(int, exponents))
+        if any(k <= 0 for k in exponents):
             raise ValueError("delta exponents must be positive")
         # delta = 10^-k is 0 from k = 324 on; capped, a huge k cannot
         # overflow the conversion to float
-        if any(10.0 ** -min(k, 400) == 0.0 for k in self.delta_exponents):
+        if any(10.0 ** -min(k, 400) == 0.0 for k in exponents):
             raise ValueError("delta exponents must be at most 323: delta = 10^-k rounds to 0")
-        if not self.strategies:
+        # a repeated k runs its cells twice and fits the summary's slope
+        # through two points at one k
+        if len(set(exponents)) != len(exponents):
+            raise ValueError(f"delta exponents must not repeat, got {exponents}")
+        object.__setattr__(self, "delta_exponents", exponents)
+        # a string would run one strategy per character
+        if isinstance(self.strategies, str):
+            raise ValueError(f"strategies must be a sequence, not the string {self.strategies!r}")
+        strategies = tuple(PivotStrategy.coerce(s) for s in self.strategies)
+        if not strategies:
             raise ValueError("strategies must not be empty")
-        object.__setattr__(
-            self,
-            "strategies",
-            tuple(PivotStrategy.coerce(s) for s in self.strategies),
-        )
+        # two spellings of one strategy coerce to the same member
+        if len(set(strategies)) != len(strategies):
+            names = ", ".join(s.value for s in strategies)
+            raise ValueError(f"strategies must not repeat, got {names}")
+        object.__setattr__(self, "strategies", strategies)
 
 
 @dataclass
@@ -113,7 +126,6 @@ class SweepRecord:
 
 @dataclass
 class SweepResult:
-    config: SweepConfig
     records: list
     summary: dict
 
@@ -184,7 +196,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 max(by_k[k].residual for k in ks) if ks else np.nan
             ),
         }
-    return SweepResult(config=config, records=records, summary=summary)
+    return SweepResult(records=records, summary=summary)
 
 
 def records_to_csv(records) -> str:

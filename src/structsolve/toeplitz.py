@@ -64,7 +64,8 @@ def toeplitz_generators(c: ToeplitzCoeffs) -> GeneratorPair:
 
     phi column 0 is e_1 and column 1 is (a_0, a_{1-n}+a_1, .., a_{-1}+a_{n-1});
     psi row 0 is (a_{n-1}-a_{-1}, .., a_1-a_{1-n}, a_0) and row 1 is e_n.
-    The displacement rank is 2.
+    The displacement rank is 2.  ``ValueError`` when a sum or difference of
+    coefficients overflows the float64 range.
     """
     n = c.n
     a = c.a
@@ -74,33 +75,52 @@ def toeplitz_generators(c: ToeplitzCoeffs) -> GeneratorPair:
     phi[0, 0] = 1.0
     phi[0, 1] = a[off]
     i = np.arange(1, n)
-    phi[1:, 1] = a[i - n + off] + a[i + off]
     j = np.arange(1, n)
-    psi[0, :-1] = a[n - j + off] - a[-j + off]
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi[1:, 1] = a[i - n + off] + a[i + off]
+        psi[0, :-1] = a[n - j + off] - a[-j + off]
     psi[0, -1] = a[off]
     psi[1, -1] = 1.0
-    return GeneratorPair(phi=phi, psi=psi)
+    return _finite_pair(phi, psi)
+
+
+def _finite_pair(phi, psi) -> GeneratorPair:
+    """``GeneratorPair(phi, psi)`` for generators computed from finite
+    input: an entry that is not finite overflowed, and GeneratorPair's
+    finiteness check, the one pass over them, finds it."""
+    try:
+        return GeneratorPair(phi=phi, psi=psi)
+    except ValueError:
+        raise ValueError(
+            "Toeplitz generators overflow the float64 range; scale the system down"
+        ) from None
 
 
 def to_cauchy_generators(gen: GeneratorPair):
     """Convert {Z_1, Z_-1}-generators to Cauchy-type generators via the DFT.
 
     Returns ``(gen_c, nodes)`` with phi_C = F Omega and psi_C* = F D Gamma*,
-    the generator transform accompanying R = F T D^{-1} F*.
+    the generator transform accompanying R = F T D^{-1} F*.  ``ValueError``
+    when a transformed generator overflows the float64 range.
     """
     return _to_cauchy(gen, DftPlan.create(gen.n), scaling_D(gen.n))
 
 
 def _to_cauchy(gen: GeneratorPair, plan: DftPlan, d: np.ndarray):
-    phi_c = apply_F(plan, gen.phi)
-    psi_c = apply_F(plan, d[:, None] * gen.psi.conj().T).conj().T
-    return GeneratorPair(phi=phi_c, psi=psi_c), toeplitz_cauchy_nodes(gen.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_c = apply_F(plan, gen.phi)
+        psi_c = apply_F(plan, d[:, None] * gen.psi.conj().T).conj().T
+    return _finite_pair(phi_c, psi_c), toeplitz_cauchy_nodes(gen.n)
 
 
 def toeplitz_factor(
     c: ToeplitzCoeffs, strategy=PivotStrategy.PARTIAL_ROW, hat_ratios="auto"
 ) -> ToeplitzFactorization:
-    """Build generators, transform to Cauchy form, and run the GKO factorization."""
+    """Build generators, transform to Cauchy form, and run the GKO factorization.
+
+    ``ValueError`` when the generators overflow the float64 range in either
+    step (coefficients near the float limit).
+    """
     plan, d = DftPlan.create(c.n), scaling_D(c.n)
     gen_c, nodes = _to_cauchy(toeplitz_generators(c), plan, d)
     inner = gko_factor(gen_c, nodes, strategy, hat_ratios=hat_ratios)

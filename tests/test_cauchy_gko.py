@@ -14,6 +14,8 @@ import structsolve as ss
 from structsolve import cauchy_gko
 from structsolve.oracle import DenseFactorization, _substitute
 
+from _schur import dense_schur_complement
+
 # rows per diagonal block of the blocked triangular solves
 B = cauchy_gko._SUB_BLOCK
 
@@ -76,7 +78,7 @@ def test_schur_update_reproduces_dense_schur_complement():
     gen, nodes = _ones_cauchy([4.0, 5.0, 6.0, 7.0], [1.0, 2.0, 2.5, 3.0])
     R = ss.materialize_cauchy(gen, nodes)
     got = _trailing(ss.gko_factor(gen, nodes, "none"), 1)
-    expected = ss.dense_schur_complement(R, 1)
+    expected = dense_schur_complement(R, 1)
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
@@ -84,7 +86,7 @@ def test_recover_column_after_one_step_matches_dense():
     gen, nodes = ss.random_cauchy_type(4, 2, seed=8)
     R = ss.materialize_cauchy(gen, nodes)
     f = ss.gko_factor(gen, nodes, "none")
-    expected = ss.dense_schur_complement(R, 1)[:, 0]
+    expected = dense_schur_complement(R, 1)[:, 0]
     assert_allclose(f.L[1:, 1] * f.U[1, 1], expected, rtol=1e-11, atol=1e-14)
 
 
@@ -107,7 +109,7 @@ def test_two_schur_updates_match_two_step_dense_complement():
     gen, nodes = ss.random_cauchy_type(6, 2, seed=10)
     R = ss.materialize_cauchy(gen, nodes)
     got = _trailing(ss.gko_factor(gen, nodes, "none"), 2)
-    expected = ss.dense_schur_complement(R, 2)
+    expected = dense_schur_complement(R, 2)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -565,7 +567,7 @@ def test_generator_schur_commutation():
         f = ss.gko_factor(gen, nodes, "partial")
         PR = R[f.row_perm.idx]
         for m in (1, n // 2):
-            expected = ss.dense_schur_complement(PR, m)
+            expected = dense_schur_complement(PR, m)
             got = (f.L[:, m:] @ f.U[m:, :])[m:, m:]
             assert np.linalg.norm(got - expected) <= 1e-11 * np.linalg.norm(expected)
 

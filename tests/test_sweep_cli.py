@@ -1,6 +1,7 @@
 """Tests for the sweep engine and the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -66,10 +67,27 @@ def test_sweep_config_validation():
     for exponents in ((2, 2.5, 3, 4, 5, 6), (2.0, 3.0)):
         with pytest.raises(ValueError, match="integers"):
             ss.SweepConfig(delta_exponents=exponents)
-    assert ss.SweepConfig(delta_exponents=(np.int64(2), 3)).delta_exponents == (2, 3)
+    exponents = ss.SweepConfig(delta_exponents=(np.int64(2), 3)).delta_exponents
+    assert exponents == (2, 3) and all(type(k) is int for k in exponents)
+    # a config is one hashable value, whatever iterable it was given; a
+    # generator was consumed by the checks and left no exponent to run
+    config = ss.SweepConfig(delta_exponents=[2, 3])
+    assert config == ss.SweepConfig(delta_exponents=(k for k in (2, 3)))
+    assert hash(config) == hash(ss.SweepConfig(delta_exponents=(2, 3)))
+    # a repeated k would run its cells twice and fit the summary's slope
+    # through two points at one k
+    with pytest.raises(ValueError, match=re.escape("delta exponents must not repeat, got (2, 2)")):
+        ss.SweepConfig(delta_exponents=(2, 2))
     # no strategy would run a sweep of zero records that reports all_ok
-    with pytest.raises(ValueError, match="strategies must not be empty"):
-        ss.SweepConfig(strategies=())
+    for strategies in ((), iter(())):
+        with pytest.raises(ValueError, match="strategies must not be empty"):
+            ss.SweepConfig(strategies=strategies)
+    # a string would be swept one character at a time
+    with pytest.raises(ValueError, match="strategies must be a sequence, not the string 'partial'"):
+        ss.SweepConfig(strategies="partial")
+    # two spellings of one strategy would run each of its cells twice
+    with pytest.raises(ValueError, match="strategies must not repeat, got partial_row, partial_row"):
+        ss.SweepConfig(strategies=("partial", "partial_row"))
 
 
 @pytest.mark.parametrize(
@@ -226,6 +244,28 @@ def test_cli_encode_non_finite_complex_like_float():
     assert cli._encode(complex(float("nan"), 1.0)) == ["nan", 1.0]
     assert cli._encode(np.array([complex(2.0, float("inf"))])) == [[2.0, "inf"]]
     assert cli._encode(float("-inf")) == "-inf"
+
+
+def test_cli_encode_finite_complex_array_as_the_element_pairs():
+    # the finite array takes numpy's path; its JSON keeps the bits of the
+    # element-by-element encoding, signed zeros and subnormals included
+    a = np.array([[complex(-0.0, -0.0), complex(5e-324, -1.5)], [1e308 + 0j, 1 / 3 - 2j]])
+    pairs = [[[z.real, z.imag] for z in row] for row in a.tolist()]
+    assert json.dumps(cli._encode(a)) == json.dumps(pairs)
+    assert cli._encode(np.zeros((2, 0), dtype=complex)) == [[], []]
+
+
+@pytest.mark.parametrize("command", ["solve", "factor", "growth"])
+def test_cli_toeplitz_generators_that_overflow_are_an_input_error(tmp_path, capsys, command):
+    # the coefficients are finite, but a_{-1} + a_1 in the generators is not
+    path = _write_json(tmp_path / "big.json", {"toeplitz": {"a": [1e308] * 3}, "b": [1, 1]})
+    assert cli.main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "structsolve: input error: Toeplitz generators overflow the float64 range; "
+        "scale the system down"
+    ]
 
 
 def test_cli_singular_exit_code(tmp_path, capsys):
@@ -434,15 +474,21 @@ def test_cli_sweep_byte_identical_runs(tmp_path):
          "delta exponents must be at most 323"),
         (["--n", "4", "--delta-exp-min", "1" + "0" * 400, "--delta-exp-max", "1" + "0" * 400],
          "delta exponents must be at most 323"),
+        (["--strategy", "partial", "--strategy", "partial"],
+         "strategies must not repeat, got partial_row, partial_row"),
     ],
     ids=[
         "odd-order", "zero-exponent", "empty-range", "delta-rounds-to-zero", "huge-exponent",
+        "repeated-strategy",
     ],
 )
 def test_cli_sweep_input_errors(tmp_path, capsys, args, message):
     out_path = tmp_path / "sweep.csv"
     assert cli.main(["sweep", *args, "--out", str(out_path)]) == 2
-    assert f"structsolve: input error: {message}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"structsolve: input error: {message}")
     assert not out_path.exists()
 
 

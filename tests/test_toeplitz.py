@@ -205,6 +205,27 @@ def test_solve_rejects_non_finite_rhs(shape, bad):
         ss.toeplitz_solve(f, b)
 
 
+@pytest.mark.parametrize(
+    "a",
+    [[1e308] * 3, [0.75e308] * 3 + [1.5e308] + [0.75e308] * 3],
+    ids=["coefficient-sum", "transform"],
+)
+def test_factor_refuses_coefficients_whose_generators_overflow(a):
+    # finite coefficients near the float limit overflow in a_{i-n} + a_i
+    # (first case) or in the DFT of phi's second column, (c, c, c, c) with
+    # c = 1.5e308 (second); each warned, an error under the suite's filter
+    with pytest.raises(ValueError, match="^Toeplitz generators overflow the float64 range"):
+        ss.toeplitz_factor(ss.ToeplitzCoeffs(a=np.array(a)))
+
+
+@pytest.mark.parametrize("side", ["phi", "psi"])
+def test_to_cauchy_generators_refuses_generators_whose_transform_overflows(side):
+    big, ones = np.full((4, 1), 1.5e308), np.ones((4, 1))
+    gen = ss.GeneratorPair(phi=big if side == "phi" else ones, psi=(ones if side == "phi" else big).T)
+    with pytest.raises(ValueError, match="^Toeplitz generators overflow the float64 range"):
+        ss.to_cauchy_generators(gen)
+
+
 def test_solve_large_finite_rhs_with_a_representable_solution():
     # sqrt(n) in the transform overflowed on b itself; the solve runs on b
     # scaled by a power of two, so x is the solve of b 2^-1024 times 2^1024
