@@ -83,10 +83,12 @@ def test_sweep_config_validation():
         with pytest.raises(ValueError, match="strategies must not be empty"):
             ss.SweepConfig(strategies=strategies)
     # a string would be swept one character at a time
-    with pytest.raises(ValueError, match="strategies must be a sequence, not the string 'partial'"):
+    message = "strategies must be a sequence, not the string 'partial'"
+    with pytest.raises(ValueError, match=message):
         ss.SweepConfig(strategies="partial")
     # two spellings of one strategy would run each of its cells twice
-    with pytest.raises(ValueError, match="strategies must not repeat, got partial_row, partial_row"):
+    message = "strategies must not repeat, got partial_row, partial_row"
+    with pytest.raises(ValueError, match=message):
         ss.SweepConfig(strategies=("partial", "partial_row"))
 
 

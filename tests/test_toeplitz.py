@@ -221,7 +221,8 @@ def test_factor_refuses_coefficients_whose_generators_overflow(a):
 @pytest.mark.parametrize("side", ["phi", "psi"])
 def test_to_cauchy_generators_refuses_generators_whose_transform_overflows(side):
     big, ones = np.full((4, 1), 1.5e308), np.ones((4, 1))
-    gen = ss.GeneratorPair(phi=big if side == "phi" else ones, psi=(ones if side == "phi" else big).T)
+    phi, psi = (big, ones) if side == "phi" else (ones, big)
+    gen = ss.GeneratorPair(phi=phi, psi=psi.T)
     with pytest.raises(ValueError, match="^Toeplitz generators overflow the float64 range"):
         ss.to_cauchy_generators(gen)
 
