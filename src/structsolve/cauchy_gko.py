@@ -53,25 +53,20 @@ _STRICT_LOWER = np.tri(_SUB_BLOCK, _SUB_BLOCK, -1, dtype=bool)
 
 
 class PivotStrategy(enum.Enum):
+    """A pivoting strategy; its value is its one name, in and out."""
+
     NONE = "none"
-    PARTIAL_ROW = "partial_row"
-    ROW1_COL1 = "row1_col1"
+    PARTIAL_ROW = "partial"
+    ROW1_COL1 = "row1col1"
 
     @classmethod
     def coerce(cls, value) -> "PivotStrategy":
-        if isinstance(value, cls):
-            return value
-        aliases = {
-            "none": cls.NONE,
-            "partial": cls.PARTIAL_ROW,
-            "partial_row": cls.PARTIAL_ROW,
-            "row1col1": cls.ROW1_COL1,
-            "row1_col1": cls.ROW1_COL1,
-        }
-        # str(None) would be "none": only a strategy or its name is accepted
-        if isinstance(value, str) and value.lower() in aliases:
-            return aliases[value.lower()]
-        raise ValueError(f"unknown pivot strategy {value!r}")
+        # a strategy, or its value in any case; only a string is lowered, as
+        # str(None) would be "none"
+        try:
+            return cls(value.lower() if isinstance(value, str) else value)
+        except ValueError:
+            raise ValueError(f"unknown pivot strategy {value!r}") from None
 
 
 @dataclass
@@ -312,19 +307,21 @@ def gko_factor(
     gen, nodes :
         Generators and displacement nodes of the matrix to factor.
     strategy :
-        ``PivotStrategy`` (or its string name).  ``PARTIAL_ROW`` brings the
-        largest first-column entry to the pivot; ``ROW1_COL1`` examines the
-        first row as well and performs a column interchange when the row
-        maximum wins strictly.  Ties resolve to the smallest index, and a
-        row-versus-column tie prefers the row interchange.
+        ``PivotStrategy`` or its value, "none", "partial" or "row1col1".
+        ``PARTIAL_ROW`` brings the largest first-column entry to the pivot;
+        ``ROW1_COL1`` examines the first row as well and performs a column
+        interchange when the row maximum wins strictly.  Ties resolve to the
+        smallest index, and a row-versus-column tie prefers the row
+        interchange.
     hat_ratios :
         Whether to record the O(n^2)-per-step hatted norm ratio in the
-        trace; "auto" enables it for n <= 256, and any other string raises
-        ``ValueError``.  When off, ``trace.hat_ratio`` is NaN throughout,
-        and so is the g2 that ``growth_report`` reads from it.  When on,
-        the factorization holds the reciprocal node gaps 1/|t_i - s_j| and
-        a split copy of psi's columns, 8 n^2 + 24 alpha n bytes (0.5 MB at
-        n = 256, 8.4 MB at n = 1024).
+        trace: a bool (numpy's included), or "auto", which enables it for
+        n <= 256; anything else raises ``ValueError``.  When off,
+        ``trace.hat_ratio`` is NaN throughout, and so is the g2 that
+        ``growth_report`` reads from it.  When on, the factorization holds
+        the reciprocal node gaps 1/|t_i - s_j| and a split copy of psi's
+        columns, 8 n^2 + 24 alpha n bytes (0.5 MB at n = 256, 8.4 MB at
+        n = 1024).
 
     Raises
     ------
@@ -334,18 +331,19 @@ def gko_factor(
         generators' scale took the elimination out of the float range); the
         loop stops there.
     ValueError
-        When the generators and nodes differ in order, or ``hat_ratios`` is a
-        string other than "auto".
+        When the generators and nodes differ in order, or ``hat_ratios`` is
+        neither a bool nor "auto".
     """
     strategy = PivotStrategy.coerce(strategy)
     n, alpha = gen.n, gen.alpha
     if nodes.n != n:
         raise ValueError(f"generators are order {n}, nodes are order {nodes.n}")
-    if isinstance(hat_ratios, str):
-        # any other string would read as true and switch the O(n^3) ratio on
-        if hat_ratios != "auto":
-            raise ValueError(f"hat_ratios must be a bool or 'auto', got {hat_ratios!r}")
+    if isinstance(hat_ratios, str) and hat_ratios == "auto":
         hat_ratios = n <= HAT_RATIO_AUTO_LIMIT
+    # None, a number or another string would be read for its truth value and
+    # switch the O(n^3) ratio off or on unasked
+    elif not isinstance(hat_ratios, (bool, np.bool_)):
+        raise ValueError(f"hat_ratios must be a bool or 'auto', got {hat_ratios!r}")
 
     # the kernel updates copies; psi is held transposed so that each of its
     # columns, like each row of phi, is contiguous

@@ -13,6 +13,11 @@ or
 where every number is either a real scalar or an [re, im] pair.  ``b`` is
 required by ``solve`` and optional elsewhere.
 
+``--strategy`` and the output name a strategy by its ``PivotStrategy``
+value: ``none``, ``partial`` or ``row1col1``.  ``factor`` writes the packed
+``GKOFactorization.LU`` as ``"LU"``: L strictly below the diagonal (its unit
+diagonal implied) and U on and above it, as LAPACK's xGETRF stores them.
+
 Exit codes: 0 success, 2 malformed input or an ``--out`` path that cannot
 be written, 3 singular system, 4 node collision.
 """
@@ -53,9 +58,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SINGULAR = 3
 EXIT_COLLISION = 4
-
-#: the --strategy spellings, each accepted by ``PivotStrategy.coerce``
-_STRATEGY_NAMES = ("none", "partial", "row1col1")
 
 
 class InputError(ValueError):
@@ -222,8 +224,7 @@ def _cmd_factor(args) -> int:
         "pivot_index": f.trace.pivot_index.tolist(),
         "pivot_is_col": f.trace.pivot_is_col.tolist(),
         "pivot_magnitude": f.trace.pivot_magnitude.tolist(),
-        "L": _encode(f.L),
-        "U": _encode(f.U),
+        "LU": _encode(f.LU),
     }
     doc.update((key, _encode(err.to_dict())) for key, err in errors.items())
     _write(json.dumps(doc, indent=2) + "\n", args.out)
@@ -267,15 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
         "with growth diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    strategies = [s.value for s in PivotStrategy]
 
     def add_common(p, needs_input=True):
         if needs_input:
             p.add_argument("input", help="system JSON file")
         p.add_argument(
             "--strategy",
-            choices=_STRATEGY_NAMES,
-            default="partial",
-            help="pivoting strategy (default: partial)",
+            choices=strategies,
+            default=PivotStrategy.PARTIAL_ROW.value,
+            help="pivoting strategy (default: %(default)s)",
         )
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -300,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--strategy",
         action="append",
-        choices=_STRATEGY_NAMES,
-        help="strategy to sweep; repeatable (default: partial and row1col1)",
+        choices=strategies,
+        help="strategy to sweep; repeatable (default: "
+        + " and ".join(s.value for s in SweepConfig.strategies) + ")",
     )
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.add_argument("--out", default=None)

@@ -39,7 +39,7 @@ class DenseFactorization:
 
 
 def dense_gepp_factor(a) -> DenseFactorization:
-    """Textbook Gaussian elimination with partial pivoting.
+    """Textbook Gaussian elimination with partial pivoting of a finite matrix.
 
     The pivot is the largest-modulus entry of the current column, smallest
     index on ties (numpy argmax order).
@@ -47,6 +47,9 @@ def dense_gepp_factor(a) -> DenseFactorization:
     A = np.array(a, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"need a square matrix, got shape {A.shape}")
+    # NaN would run through as NaN factors, inf stop as a false singularity
+    if not np.isfinite(A).all():
+        raise ValueError("matrix must be finite")
     n = A.shape[0]
     L = np.eye(n, dtype=complex)
     pidx = np.arange(n)
@@ -82,9 +85,12 @@ def dense_solve(a, b) -> np.ndarray:
     """Solve a dense square system by GE/PP and substitution.
 
     ``b`` may be a vector or a matrix of stacked right-hand-side columns.
+    Like the matrix, it must be finite.
     """
-    f = dense_gepp_factor(a)
     b = np.asarray(b, dtype=complex)
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must be finite")
+    f = dense_gepp_factor(a)
     if b.shape[0] != f.n:
         raise ValueError(f"matrix is order {f.n}, b has length {b.shape[0]}")
     return _substitute(f, b)

@@ -46,6 +46,15 @@ CSV_COLUMNS = (
 )
 
 
+def _items(value, name: str) -> tuple:
+    """The items of a config field, refusing what is not iterable."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {value!r}") from None
+    return tuple(items)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Sweep parameters; defaults follow the order-8, k = 2..16 experiment.
@@ -65,7 +74,7 @@ class SweepConfig:
         if n % 2 != 0:
             raise ValueError(message)
         object.__setattr__(self, "n", n)
-        exponents = tuple(self.delta_exponents)
+        exponents = _items(self.delta_exponents, "delta exponents")
         if not exponents:
             raise ValueError("delta exponents must not be empty")
         # the summary files each record under its integer k: 2.5 would be k = 2
@@ -86,10 +95,10 @@ class SweepConfig:
         # a string would run one strategy per character
         if isinstance(self.strategies, str):
             raise ValueError(f"strategies must be a sequence, not the string {self.strategies!r}")
-        strategies = tuple(PivotStrategy.coerce(s) for s in self.strategies)
+        strategies = tuple(map(PivotStrategy.coerce, _items(self.strategies, "strategies")))
         if not strategies:
             raise ValueError("strategies must not be empty")
-        # two spellings of one strategy coerce to the same member
+        # a member and its value, or two cases of one value, coerce to one member
         if len(set(strategies)) != len(strategies):
             names = ", ".join(s.value for s in strategies)
             raise ValueError(f"strategies must not repeat, got {names}")

@@ -100,7 +100,7 @@ def test_criterion_5_instability_reproduction():
     quadratically and residual linearly in 1/delta."""
     result = _sweep(ss.PivotStrategy.PARTIAL_ROW)
     assert result.all_ok
-    s = result.summary["strategies"]["partial_row"]
+    s = result.summary["strategies"]["partial"]
     assert 1.5 <= s["slope_forward_err"] <= 2.5, s
     assert 0.5 <= s["slope_residual"] <= 1.5, s
     _report(
@@ -113,7 +113,7 @@ def test_criterion_6_stabilization():
     """Row-1/column-1 pivoting keeps every sweep residual at roundoff."""
     result = _sweep(ss.PivotStrategy.ROW1_COL1)
     assert result.all_ok
-    s = result.summary["strategies"]["row1_col1"]
+    s = result.summary["strategies"]["row1col1"]
     residuals = [r.residual for r in result.records]
     assert max(residuals) <= 1e-13, residuals
     assert s["slope_forward_err"] <= 1.5, s

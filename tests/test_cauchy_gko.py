@@ -231,7 +231,7 @@ def test_partial_pivot_maximality():
         assert f.trace.pivot_magnitude[k] >= np.abs(reduced[:, 0]).max() * (1 - 1e-10)
 
 
-def test_row1_col1_pivot_dominance():
+def test_row1col1_pivot_dominance():
     # replay the recorded interchanges on a dense copy and check each pivot
     # dominates the first row and column it was chosen from
     for gen, nodes in (
@@ -282,7 +282,7 @@ def _dense_row1col1(A):
     return prow, L, U, pivots
 
 
-def test_row1_col1_matches_dense_replay_of_the_rule():
+def test_row1col1_matches_dense_replay_of_the_rule():
     for i in range(25):
         shape_rng = np.random.default_rng(77_000 + i)
         n = int(shape_rng.integers(2, 13))
@@ -301,7 +301,7 @@ def test_row1_col1_matches_dense_replay_of_the_rule():
         assert np.linalg.norm(f.U - U) <= 1e-10 * max(np.linalg.norm(U), 1)
 
 
-def test_row1_col1_uses_column_interchange_on_adversarial_family():
+def test_row1col1_uses_column_interchange_on_adversarial_family():
     # the transformed adversarial matrix has a uniformly tiny first column
     # and an O(1) first row, so the very first pivot must be a column swap
     coeffs = ss.adversarial_toeplitz(ss.AdversarialSpec(n=8, delta=1e-6))
@@ -580,8 +580,12 @@ def test_hat_ratio_auto_skips_large_orders():
     assert np.isfinite(f2.trace.hat_ratio).all()
 
 
-@pytest.mark.parametrize("value", ["false", "off", "AUTO", ""])
+@pytest.mark.parametrize(
+    "value", ["false", "off", "AUTO", "", None, float("nan"), 2, 1, 0, 1.0, np.int64(1)]
+)
 def test_hat_ratios_rejects_strings_other_than_auto(value):
+    # a value that is neither a bool nor "auto" used to be read for its
+    # truth: None switched the O(n^3) ratio off, and NaN or 2 switched it on
     gen, nodes = ss.random_cauchy_type(8, 1, seed=0)
     with pytest.raises(ValueError, match="hat_ratios"):
         ss.gko_factor(gen, nodes, "partial", hat_ratios=value)
@@ -602,6 +606,17 @@ def test_pivot_strategy_accepts_only_a_strategy_or_its_name(value):
         ss.toeplitz_factor(ss.random_toeplitz(8, seed=1), value)
     assert ss.PivotStrategy.coerce("Partial") is ss.PivotStrategy.PARTIAL_ROW
     assert ss.PivotStrategy.coerce(ss.PivotStrategy.NONE) is ss.PivotStrategy.NONE
+
+
+def test_pivot_strategy_value_is_the_one_spelling_of_each_strategy():
+    # the CLI's --strategy, its output and the sweep's name a strategy by its
+    # value, and coerce takes that value and no other name
+    assert [s.value for s in ss.PivotStrategy] == ["none", "partial", "row1col1"]
+    for s in ss.PivotStrategy:
+        assert ss.PivotStrategy.coerce(s.value) is s
+        assert ss.PivotStrategy.coerce(s.value.upper()) is s
+    with pytest.raises(ValueError, match="unknown pivot strategy 'row1'"):
+        ss.PivotStrategy.coerce("row1")
 
 
 def _step_generators(gen, nodes, f):

@@ -38,6 +38,26 @@ def test_gepp_singular_raises():
         ss.dense_gepp_factor(np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)],
+                         ids=["nan", "inf", "-inf", "nan-imag"])
+def test_oracle_refuses_a_matrix_that_is_not_finite(bad):
+    # NaN used to come out as NaN factors, inf as "singular at step 0"
+    A = np.array([[bad, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="^matrix must be finite$"):
+        ss.dense_gepp_factor(A)
+    with pytest.raises(ValueError, match="^matrix must be finite$"):
+        ss.dense_solve(A, np.ones(2))
+    with pytest.raises(ValueError, match="^matrix must be finite$"):
+        ss.cond_estimate(A)
+
+
+@pytest.mark.parametrize("b", [[np.nan, 1.0], [1.0, np.inf], [[1.0, 0.0], [0.0, -np.inf]]],
+                         ids=["nan", "inf", "matrix-rhs"])
+def test_dense_solve_refuses_a_right_hand_side_that_is_not_finite(b):
+    with pytest.raises(ValueError, match="^right-hand side must be finite$"):
+        ss.dense_solve(np.eye(2), b)
+
+
 def test_dense_solve_identity_and_permutation():
     b = np.array([3.0, 1.0, 2.0])
     assert_allclose(ss.dense_solve(np.eye(3), b), b)

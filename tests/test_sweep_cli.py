@@ -41,9 +41,9 @@ def test_sweep_csv_header_and_determinism():
 
 
 def test_sweep_failed_record_renders_nan_row():
-    rec = SweepRecord(delta=1e-2, strategy="partial_row", ok=False, error="boom")
+    rec = SweepRecord(delta=1e-2, strategy="partial", ok=False, error="boom")
     row = rec.csv_row().split(",")
-    assert row[1] == "partial_row"
+    assert row[1] == "partial"
     assert row[2] == "nan"
     assert len(row) == len(CSV_COLUMNS)
 
@@ -51,9 +51,9 @@ def test_sweep_failed_record_renders_nan_row():
 def test_sweep_summary_slopes_partial_vs_modified():
     result = ss.run_sweep(_small_config(delta_exponents=tuple(range(2, 7))))
     s = result.summary["strategies"]
-    assert 1.5 <= s["partial_row"]["slope_forward_err"] <= 2.5
-    assert 0.5 <= s["partial_row"]["slope_residual"] <= 1.5
-    assert s["row1_col1"]["max_residual_in_window"] <= 1e-13
+    assert 1.5 <= s["partial"]["slope_forward_err"] <= 2.5
+    assert 0.5 <= s["partial"]["slope_residual"] <= 1.5
+    assert s["row1col1"]["max_residual_in_window"] <= 1e-13
 
 
 def test_sweep_config_validation():
@@ -86,10 +86,18 @@ def test_sweep_config_validation():
     message = "strategies must be a sequence, not the string 'partial'"
     with pytest.raises(ValueError, match=message):
         ss.SweepConfig(strategies="partial")
-    # two spellings of one strategy would run each of its cells twice
-    message = "strategies must not repeat, got partial_row, partial_row"
+    # a strategy given twice, as a member and its value or in two cases,
+    # would run each of its cells twice
+    message = "strategies must not repeat, got partial, partial"
+    for strategies in (("partial", ss.PivotStrategy.PARTIAL_ROW), ("partial", "PARTIAL")):
+        with pytest.raises(ValueError, match=message):
+            ss.SweepConfig(strategies=strategies)
+    # a field that is not iterable is refused by name, not with a TypeError
+    message = re.escape("strategies must be a sequence, got <PivotStrategy.PARTIAL_ROW: 'partial'>")
     with pytest.raises(ValueError, match=message):
-        ss.SweepConfig(strategies=("partial", "partial_row"))
+        ss.SweepConfig(strategies=ss.PivotStrategy.PARTIAL_ROW)
+    with pytest.raises(ValueError, match="^delta exponents must be a sequence, got 5$"):
+        ss.SweepConfig(delta_exponents=5)
 
 
 @pytest.mark.parametrize(
@@ -369,8 +377,27 @@ def test_cli_factor_output(tmp_path):
     doc = json.loads(out_path.read_text())
     assert doc["n"] == 4
     assert doc["reconstruction"]["rel_err"] <= 1e-12
-    assert len(doc["L"]) == 4
+    assert doc["strategy"] == "partial"
+    assert len(doc["LU"]) == 4 and "L" not in doc and "U" not in doc
     assert sorted(doc["row_perm"]) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in ss.PivotStrategy])
+def test_cli_factor_writes_the_packed_lu_under_the_strategy_value(tmp_path, strategy):
+    # the one array the factorization holds, L strictly below the diagonal
+    # and U on and above it, named by the spelling --strategy took
+    gen, nodes = ss.random_cauchy_type(10, 2, seed=7)
+    f = ss.gko_factor(gen, nodes, strategy)
+    path = _write_json(tmp_path / "sys.json", _cauchy_system_doc(gen, nodes, [1.0] * 10))
+    out_path = tmp_path / "factor.json"
+    assert cli.main(["factor", path, "--strategy", strategy, "--out", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    assert doc["strategy"] == strategy
+    pairs = np.array(doc["LU"])
+    LU = pairs[..., 0] + 1j * pairs[..., 1]
+    assert np.array_equal(LU, f.LU)
+    assert np.array_equal(np.tril(LU, -1) + np.eye(10), f.L)
+    assert np.array_equal(np.triu(LU), f.U)
 
 
 @pytest.mark.parametrize("kind", ["toeplitz", "cauchy"])
@@ -448,7 +475,8 @@ def test_cli_sweep_json(tmp_path):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert len(doc["records"]) == 2
-    assert "partial_row" in doc["summary"]["strategies"]
+    assert list(doc["summary"]["strategies"]) == ["partial"]
+    assert {r["strategy"] for r in doc["records"]} == {"partial"}
 
 
 def test_cli_sweep_defaults_are_the_config_defaults(tmp_path):
@@ -477,7 +505,7 @@ def test_cli_sweep_byte_identical_runs(tmp_path):
         (["--n", "4", "--delta-exp-min", "1" + "0" * 400, "--delta-exp-max", "1" + "0" * 400],
          "delta exponents must be at most 323"),
         (["--strategy", "partial", "--strategy", "partial"],
-         "strategies must not repeat, got partial_row, partial_row"),
+         "strategies must not repeat, got partial, partial"),
     ],
     ids=[
         "odd-order", "zero-exponent", "empty-range", "delta-rounds-to-zero", "huge-exponent",
