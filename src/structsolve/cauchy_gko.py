@@ -98,16 +98,16 @@ class GKOFactorization:
 
     ``row_perm`` is P and ``col_perm`` is P' (identity unless the
     row-1/column-1 strategy performed column interchanges), both as
-    row-selection permutations (P = I[row_perm.idx]), so the source matrix
-    P^T L U P'^T is what ``reconstruct()`` returns.  ``LU`` holds
-    both factors in one n x n array, as LAPACK's xGETRF stores them: L
-    strictly below the diagonal, its unit diagonal implied, and U on and
-    above it.  ``norm_L`` and ``norm_U`` are the Frobenius norms of L and U,
-    and ``hatL_ratio`` and ``hatU_ratio`` the ratios ||Lhat||_F / ||L||_F
-    and ||Uhat||_F / ||U||_F, Lhat and Uhat being the factors weighted
-    entrywise by the V entries of the step that wrote them (|v_jk l_jk| and
-    |v_kj u_kj|), all accumulated during elimination; no V matrix is ever
-    stored, and the ratios stay finite where ||Uhat||_F would overflow.
+    row-selection permutations (P = I[row_perm.idx]), so the factored
+    matrix is P^T L U P'^T.  ``LU`` holds both factors in one n x n array,
+    as LAPACK's xGETRF stores them: L strictly below the diagonal, its unit
+    diagonal implied, and U on and above it.  ``norm_L`` and ``norm_U`` are
+    the Frobenius norms of L and U, and ``hatL_ratio`` and ``hatU_ratio``
+    the ratios ||Lhat||_F / ||L||_F and ||Uhat||_F / ||U||_F, Lhat and Uhat
+    being the factors weighted entrywise by the V entries of the step that
+    wrote them (|v_jk l_jk| and |v_kj u_kj|), all accumulated during
+    elimination; no V matrix is ever stored, and the ratios stay finite
+    where ||Uhat||_F would overflow.
     """
 
     row_perm: Permutation
@@ -161,14 +161,6 @@ class GKOFactorization:
         if not upper:
             np.fill_diagonal(T, 1.0)
         return T
-
-    def reconstruct(self) -> np.ndarray:
-        """Dense P^T L U P'^T, the matrix this factorization represents."""
-        L = self._triangle(upper=False)
-        product = L @ self._triangle(upper=True)
-        # L is not read again, so its buffer takes the permuted product
-        L[np.ix_(self.row_perm.idx, np.argsort(self.col_perm.idx))] = product
-        return L
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_gko_kernel.c")
@@ -418,6 +410,36 @@ def _substitute(T: np.ndarray, z: np.ndarray, upper: bool) -> None:
             hi - lo, m, int(upper), t_base + (lo * n + lo) * T.itemsize, n,
             z_base + lo * m * z.itemsize,
         )
+
+
+def _add_lu_product(LU: np.ndarray, A: np.ndarray) -> None:
+    """Add L U into the complex (n, n) array A, L and U read from the packed ``LU``.
+
+    L U is the sum over blocks of ``_SUB_BLOCK`` columns of L of
+    L[lo:, lo:hi] U[lo:hi, lo:], the only part of each block's product that
+    is not zero, so A gains it in chunks of ``_SUB_BLOCK`` rows: about n^3/3
+    complex multiply-adds, where the dense L @ U takes n^3.  Only the two
+    diagonal blocks are masked, L's to its unit lower triangle and U's to
+    its upper one; the rest is read from ``LU`` in place.  Besides A, the
+    work is two ``_SUB_BLOCK`` x n arrays, U's block row and one chunk's
+    product, so no factor and no n x n product is built.
+    """
+    n = LU.shape[0]
+    panel = np.empty((_SUB_BLOCK, n), dtype=complex)
+    product = np.empty((_SUB_BLOCK, n), dtype=complex)
+    for lo in range(0, n, _SUB_BLOCK):
+        hi = min(lo + _SUB_BLOCK, n)
+        mask = _STRICT_LOWER[: hi - lo, : hi - lo]
+        L = np.where(mask, LU[lo:hi, lo:hi], 0.0)
+        np.fill_diagonal(L, 1.0)
+        U = panel[: hi - lo, : n - lo]
+        U[...] = LU[lo:hi, lo:]
+        U[:, : hi - lo][mask] = 0.0
+        for r in range(lo, n, _SUB_BLOCK):
+            end = min(r + _SUB_BLOCK, n)
+            out = np.matmul(L if r == lo else LU[r:end, lo:hi], U,
+                            out=product[: end - r, : n - lo])
+            A[r:end, lo:] += out
 
 
 def _solve_scaled(n: int, b, solve) -> np.ndarray:

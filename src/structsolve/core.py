@@ -33,6 +33,10 @@ EPS = float(np.finfo(float).eps)
 # about 17 MB of temporaries where the whole matrix takes about 100 MB
 _GAP_BLOCK_ROWS = 256
 
+# rows of t_i - s_j formed at once by _cauchy_matrix: at n = 256 the chunk
+# is a quarter of the matrix it divides
+_DIVIDE_BLOCK_ROWS = 64
+
 
 class NodeCollisionError(ValueError):
     """Some t_i is (numerically) equal to some s_j, so entries of the
@@ -229,7 +233,22 @@ def materialize_cauchy(gen: GeneratorPair, nodes: CauchyNodes) -> np.ndarray:
     """Dense Cauchy-type matrix with entries phi_i psi_j / (t_i - s_j)."""
     if gen.n != nodes.n:
         raise ValueError(f"generators are order {gen.n}, nodes are order {nodes.n}")
-    return (gen.phi @ gen.psi) / nodes.gaps()
+    return _cauchy_matrix(gen.phi, gen.psi, nodes.t, nodes.s)
+
+
+def _cauchy_matrix(phi, psi, t, s) -> np.ndarray:
+    """phi psi / (t_i - s_j) as a new array, divided in place in row chunks.
+
+    Each entry is phi_i psi_j divided by the gap t_i - s_j, as in
+    ``(phi @ psi) / nodes.gaps()``, but the gaps are formed
+    ``_DIVIDE_BLOCK_ROWS`` rows at a time, so the one n x n array is the
+    result: the whole quotient took three.
+    """
+    R = phi @ psi
+    for lo in range(0, t.size, _DIVIDE_BLOCK_ROWS):
+        hi = lo + _DIVIDE_BLOCK_ROWS
+        R[lo:hi] /= t[lo:hi, None] - s[None, :]
+    return R
 
 
 def dense_toeplitz(c: ToeplitzCoeffs) -> np.ndarray:

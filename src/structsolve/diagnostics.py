@@ -16,16 +16,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cauchy_gko import GKOFactorization, GrowthTrace
+from .cauchy_gko import GKOFactorization, GrowthTrace, _add_lu_product
 from .core import (
     EPS,
     CauchyNodes,
     GeneratorPair,
     SingularMatrixError,
     ToeplitzCoeffs,
+    _cauchy_matrix,
     dense_toeplitz,
-    materialize_cauchy,
 )
+from .dft import apply_F, apply_F_inv
 from .toeplitz import ToeplitzFactorization
 
 __all__ = [
@@ -163,10 +164,17 @@ def growth_report(
 def backward_error_cauchy(
     gen: GeneratorPair, nodes: CauchyNodes, f: GKOFactorization
 ) -> BackwardErrorReport:
-    """|| P^T L U P'^T - R ||_F against the densely materialized matrix."""
+    """|| P^T L U P'^T - R ||_F against the densely materialized matrix.
+
+    Measured as || L U - P R P' ||_F: P R P' is R in elimination order,
+    materialized from the permuted generators and nodes, and L U is added
+    into its negation straight from ``f.LU``.  That one n x n array is all
+    the measurement holds beyond the factorization.
+    """
     _check_orders(f.n, generators=gen.n, nodes=nodes.n)
-    R = materialize_cauchy(gen, nodes)
-    return _frobenius_error(f.reconstruct(), R)
+    rows, cols = f.row_perm.idx, np.argsort(f.col_perm.idx)
+    A = _cauchy_matrix(gen.phi[rows], gen.psi[:, cols], nodes.t[rows], nodes.s[cols])
+    return _lu_error(f, A, _norm(A))
 
 
 def backward_error_toeplitz(
@@ -174,21 +182,38 @@ def backward_error_toeplitz(
 ) -> BackwardErrorReport:
     """|| F* P^T L U P'^T F D - T ||_F for the Toeplitz pipeline.
 
-    The reconstruction is ``f.reconstruct()``: one O(n^3) product L U, then
-    transforms at O(n^2 log n).
+    F and D are unitary, so this is || P^T L U P'^T - F T D* F* ||_F, and
+    it is measured as ``backward_error_cauchy`` measures its own: L U
+    against F T D* F* in elimination order.  T is transformed by two FFT
+    passes, F from the left, then F* from the right as F* applied to the
+    transpose, for F is symmetric; two n x n arrays are held while a pass
+    runs, one otherwise.
     """
     _check_orders(f.n, coefficients=c.n)
-    return _frobenius_error(f.reconstruct(), dense_toeplitz(c))
+    T = dense_toeplitz(c)
+    t_norm = _norm(T)
+    left = apply_F(f.plan, T)
+    del T
+    left *= np.conj(f.d)
+    right = apply_F_inv(f.plan, left.T)
+    del left
+    inner = f.inner
+    A = right.T[np.ix_(inner.row_perm.idx, np.argsort(inner.col_perm.idx))]
+    del right
+    return _lu_error(inner, A, t_norm)
 
 
-def _frobenius_error(approx: np.ndarray, exact: np.ndarray) -> BackwardErrorReport:
-    """Absolute and relative Frobenius distance of ``approx`` from ``exact``.
+def _lu_error(f: GKOFactorization, A: np.ndarray, ref_norm: float) -> BackwardErrorReport:
+    """Frobenius distance of L U from A, absolute and relative to ``ref_norm``.
 
-    Both norms are ``_norm``'s and ``_relative`` divides them, so a matrix
-    scaled far past the square-root range keeps its relative error.
+    A is overwritten.  Both norms are ``_norm``'s and ``_relative`` divides
+    them, so a matrix scaled far past the square-root range keeps its
+    relative error.
     """
-    abs_err = _norm(approx - exact)
-    return BackwardErrorReport(abs_err=abs_err, rel_err=_relative(abs_err, _norm(exact)))
+    np.negative(A, out=A)
+    _add_lu_product(f.LU, A)
+    abs_err = _norm(A)
+    return BackwardErrorReport(abs_err=abs_err, rel_err=_relative(abs_err, ref_norm))
 
 
 def recover_from_displacement(b) -> np.ndarray:
@@ -226,25 +251,32 @@ def _relative(err, ref) -> float:
 
 
 def _norm(v) -> float:
-    """2-norm of v, taken as m ||v / m|| with m = max |v_i| when the plain
-    ``np.linalg.norm`` under- or overflows.
+    """2-norm of v, taken as 2^e ||v 2^-e|| when the plain ``np.linalg.norm``
+    under- or overflows, 2^e being the power of two just above v's largest
+    real or imaginary part.
 
     Squares of entries below about 1e-154 underflow, so a vector of 1e-300
     entries would have norm 0; LAPACK's ``dnrm2`` scales by the largest
-    magnitude for the same reason.  The rescaled norm is taken only when the
-    plain one is 0, subnormal or inf and v is finite and not zero, so any
-    other norm keeps its bits.
+    magnitude for the same reason.  A power of two scales exactly, so v
+    scaled by 2^k has the norm of v scaled by 2^k, bit for bit, wherever
+    the plain norm of v is in range, and a relative error keeps its bits.
+    The rescaled norm is taken only when the plain one is 0, subnormal or
+    inf and v is finite and not zero, so any other norm keeps its bits.
     """
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
     if not (norm < np.finfo(float).tiny or norm == np.inf):
         return norm
-    mag = np.abs(v)
-    m = float(mag.max(initial=0.0))
-    if m == 0.0 or not np.isfinite(m):
+    v = np.asarray(v)
+    top = max(np.abs(v.real).max(initial=0.0), np.abs(v.imag).max(initial=0.0))
+    if top == 0.0 or not np.isfinite(top):
         return norm
-    # real quotients: a complex one by a subnormal m would overflow
-    return m * float(np.linalg.norm(mag / m))
+    e = int(np.frexp(top)[1])
+    # ldexp takes the parts: 2.0**-e itself overflows for a subnormal top
+    scaled = np.ldexp(v.real, -e)
+    if np.iscomplexobj(v):
+        scaled = scaled + 1j * np.ldexp(v.imag, -e)
+    return float(np.ldexp(np.linalg.norm(scaled), e))
 
 
 def _solve_errors(A: np.ndarray, b, x_tilde) -> BackwardErrorReport:

@@ -38,25 +38,27 @@ __all__ = [
 
 @dataclass
 class ToeplitzFactorization:
-    """Factorization T = F* P^T L U P'^T F D of an order-n Toeplitz matrix."""
+    """Factorization T = F* P^T L U P'^T F D of an order-n Toeplitz matrix.
+
+    ``inner`` factors the Cauchy-type F T D^{-1} F*, ``plan`` gives F's
+    order and ``d`` holds D's diagonal; construction refuses parts of
+    different orders with ``ValueError``.
+    """
 
     inner: GKOFactorization
     plan: DftPlan
     d: np.ndarray
 
+    def __post_init__(self):
+        n = self.plan.n
+        if self.inner.n != n:
+            raise ValueError(f"plan is order {n}, inner factorization order {self.inner.n}")
+        if np.shape(self.d) != (n,):
+            raise ValueError(f"plan is order {n}, d has shape {np.shape(self.d)}")
+
     @property
     def n(self) -> int:
         return self.plan.n
-
-    def reconstruct(self) -> np.ndarray:
-        """Dense F* M F D, the matrix this factorization represents, for
-        M = ``inner.reconstruct()``.  F is symmetric, so the transforms give
-        (F* M) F = (F (F* M)^T)^T, each n^2 intermediate dropped in turn."""
-        left = apply_F_inv(self.plan, self.inner.reconstruct())
-        right = apply_F(self.plan, left.T)
-        del left
-        right *= self.d[:, None]
-        return right.T
 
 
 def toeplitz_generators(c: ToeplitzCoeffs) -> GeneratorPair:

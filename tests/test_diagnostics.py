@@ -1,12 +1,17 @@
 """Tests for V-matrices, growth reports, backward errors, and displacement
 recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import structsolve as ss
-from structsolve.diagnostics import _solve_errors
+from structsolve.core import EPS
+from structsolve.diagnostics import _norm, _solve_errors
+
+from _reconstruct import reconstruct, reconstruct_toeplitz
 
 
 def test_v_matrix_rank_one_has_unit_modulus():
@@ -144,6 +149,65 @@ def test_backward_error_toeplitz_identity_and_random():
     assert ss.backward_error_toeplitz(coeffs, f).rel_err <= 1e-12
 
 
+def _family(name, n):
+    """Generators and nodes of a testgen family at order n, with the
+    Toeplitz coefficients they come from (None for a Cauchy family)."""
+    if name == "random_cauchy":
+        return (*ss.random_cauchy_type(n, 4, seed=n), None)
+    if name == "cancellation_cauchy":
+        return (*ss.cancellation_cauchy(n, f_norm=1e-8, seed=n), None)
+    if name == "random_toeplitz":
+        coeffs = ss.random_toeplitz(n, seed=n)
+    else:
+        coeffs = ss.adversarial_toeplitz(ss.AdversarialSpec(n=n, delta=1e-8))
+    return (*ss.to_cauchy_generators(ss.toeplitz_generators(coeffs)), coeffs)
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+@pytest.mark.parametrize(
+    "family", ["random_cauchy", "cancellation_cauchy", "random_toeplitz", "adversarial_toeplitz"]
+)
+def test_backward_errors_match_the_dense_reconstruction(family, strategy, n):
+    # the blocked product from LU against the dense P^T L U P'^T (and its
+    # transform), the two measured against the same reference
+    gen, nodes, coeffs = _family(family, n)
+    f = ss.gko_factor(gen, nodes, strategy, hat_ratios=False)
+    R = ss.materialize_cauchy(gen, nodes)
+    dense = np.linalg.norm(reconstruct(f) - R) / np.linalg.norm(R)
+    assert abs(ss.backward_error_cauchy(gen, nodes, f).rel_err - dense) <= n * EPS
+    if coeffs is not None:
+        ft = ss.toeplitz_factor(coeffs, strategy, hat_ratios=False)
+        T = ss.dense_toeplitz(coeffs)
+        dense = np.linalg.norm(reconstruct_toeplitz(ft) - T) / np.linalg.norm(T)
+        assert abs(ss.backward_error_toeplitz(coeffs, ft).rel_err - dense) <= n * EPS
+
+
+def _extra_peak_bytes(call) -> int:
+    """Peak bytes that ``call()`` allocates beyond what is live when it starts."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_backward_errors_hold_one_work_array_beyond_their_inputs():
+    # one n x n complex array of 16 n^2 bytes, the Toeplitz path two while
+    # an FFT pass runs, and blocks of 64 rows; the dense reconstruction
+    # held four and three
+    n = 256
+    gen, nodes = ss.random_cauchy_type(n, 4, seed=1)
+    f = ss.gko_factor(gen, nodes, "partial", hat_ratios=False)
+    coeffs = ss.adversarial_toeplitz(ss.AdversarialSpec(n=n, delta=1e-8))
+    ft = ss.toeplitz_factor(coeffs, "partial", hat_ratios=False)
+    limit = 2.3 * 16 * n * n
+    assert _extra_peak_bytes(lambda: ss.backward_error_cauchy(gen, nodes, f)) <= limit
+    assert _extra_peak_bytes(lambda: ss.backward_error_toeplitz(coeffs, ft)) <= limit
+
+
 @pytest.mark.parametrize("m", [1, 4])
 def test_backward_error_toeplitz_rejects_another_order(m):
     f = ss.toeplitz_factor(ss.random_toeplitz(8, seed=1))
@@ -230,6 +294,17 @@ def test_backward_error_cauchy_of_generators_scaled_far_down():
     rep = ss.backward_error_cauchy(scaled, nodes, ss.gko_factor(scaled, nodes, "partial"))
     assert rep.rel_err == ref.rel_err
     assert rep.abs_err == pytest.approx(ref.abs_err * 2.0**-600, rel=1e-14)
+
+
+@pytest.mark.parametrize("e", [-600, 520], ids=["scaled-down", "scaled-up"])
+def test_norm_past_the_square_root_range_scales_bit_for_bit(e):
+    # the rescaled norm of v 2^e is the plain norm of v times 2^e, bit for
+    # bit, so the relative error of data scaled by a power of two keeps its
+    # bits
+    for seed in range(20):
+        z = np.random.default_rng(seed).standard_normal((50, 2)) @ [1.0, 1j]
+        for v in (z, z.real):
+            assert _norm(v * 2.0**e) == np.linalg.norm(v) * 2.0**e
 
 
 @pytest.mark.parametrize("e", [-600, 520], ids=["scaled-down", "scaled-up"])

@@ -1,5 +1,6 @@
 """Tests for the Toeplitz generators, DFT conversion, and solve pipeline."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import structsolve as ss
+
+from _reconstruct import reconstruct
 
 
 def _identity_coeffs(n):
@@ -107,23 +110,23 @@ def test_factor_random_reconstruction():
     f = ss.toeplitz_factor(coeffs)
     gen_c, nodes = ss.to_cauchy_generators(ss.toeplitz_generators(coeffs))
     R = ss.materialize_cauchy(gen_c, nodes)
-    err = np.linalg.norm(f.inner.reconstruct() - R)
+    err = np.linalg.norm(reconstruct(f.inner) - R)
     assert err <= 1e-11 * np.linalg.norm(f.inner.L) * np.linalg.norm(f.inner.U)
 
 
 @pytest.mark.parametrize("strategy", ["partial", "row1col1"])
-def test_reconstruct_matches_the_dense_transform(strategy):
-    # F* (P^T L U P'^T) F D with a dense F, against the transforms
+def test_backward_error_toeplitz_matches_the_dense_transform(strategy):
+    # F* (P^T L U P'^T) F D with a dense F and a dense product, against T
     n = 12
     coeffs = ss.adversarial_toeplitz(ss.AdversarialSpec(n=n, delta=1e-3))
     f = ss.toeplitz_factor(coeffs, strategy)
     F = ss.apply_F(f.plan, np.eye(n))
-    expected = F.conj().T @ f.inner.reconstruct() @ F * f.d[None, :]
-    got = f.reconstruct()
-    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+    expected = F.conj().T @ reconstruct(f.inner) @ F * f.d[None, :]
     T = ss.dense_toeplitz(coeffs)
-    assert np.linalg.norm(got - T) <= 1e-12 * np.linalg.norm(T)
-    assert ss.backward_error_toeplitz(coeffs, f).abs_err == float(np.linalg.norm(got - T))
+    err = np.linalg.norm(expected - T)
+    assert err <= 1e-12 * np.linalg.norm(T)
+    got = ss.backward_error_toeplitz(coeffs, f).abs_err
+    assert abs(got - err) <= 1e-15 * np.linalg.norm(T)
 
 
 def test_factor_adversarial_partial_pivoting_is_unstable():
@@ -176,6 +179,48 @@ def test_solve_several_right_hand_sides_matches_one_at_a_time(strategy):
         assert_allclose(X[:, j], x, rtol=0, atol=1e-13 * np.abs(x).max())
     T = ss.dense_toeplitz(coeffs)
     assert np.linalg.norm(T @ X - B) <= 1e-10 * np.linalg.norm(B)
+
+
+@pytest.mark.parametrize("n", [8, 64, 300])
+@pytest.mark.parametrize("strategy", ["partial", "row1col1"])
+@pytest.mark.parametrize("columns", [None, 3], ids=["one-rhs", "three-rhs"])
+def test_factor_and_solve_are_their_layers_composed(n, strategy, columns):
+    """toeplitz_factor and toeplitz_solve equal their layers, composed, bit for bit.
+
+    perfbench's traced run calls each layer on its own, timing it, and
+    requires the composed answer to equal the untraced one bit for bit.  A
+    Toeplitz-only fast path in toeplitz_solve (the inverse generators, for
+    one) breaks this identity, and every traced perfbench run would then
+    report ``correct: false``.
+    """
+    coeffs = ss.random_toeplitz(n, seed=n)
+    f = ss.toeplitz_factor(coeffs, strategy)
+    g = ss.gko_factor(*ss.to_cauchy_generators(ss.toeplitz_generators(coeffs)), strategy)
+    assert np.array_equal(f.inner.LU, g.LU)
+    assert np.array_equal(f.inner.row_perm.idx, g.row_perm.idx)
+    assert np.array_equal(f.inner.col_perm.idx, g.col_perm.idx)
+    for field in dataclasses.fields(g.trace):
+        got, expected = getattr(f.inner.trace, field.name), getattr(g.trace, field.name)
+        assert np.array_equal(got, expected, equal_nan=expected.dtype.kind in "fc")
+
+    rng = np.random.default_rng(n)
+    shape = (n,) if columns is None else (n, columns)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    d_inv = np.conj(f.d) if columns is None else np.conj(f.d)[:, None]
+    y = ss.solve_with_factors(f.inner, ss.apply_F(f.plan, b))
+    assert np.array_equal(ss.toeplitz_solve(f, b), d_inv * ss.apply_F_inv(f.plan, y))
+
+
+def test_factorization_refuses_an_inner_factorization_of_another_order():
+    f = ss.toeplitz_factor(ss.random_toeplitz(8, seed=1))
+    with pytest.raises(ValueError, match="plan is order 4, inner factorization order 8"):
+        ss.ToeplitzFactorization(inner=f.inner, plan=ss.DftPlan.create(4), d=ss.scaling_D(4))
+
+
+def test_factorization_refuses_a_scaling_of_another_order():
+    f = ss.toeplitz_factor(ss.random_toeplitz(8, seed=1))
+    with pytest.raises(ValueError, match=re.escape("plan is order 8, d has shape (4,)")):
+        ss.ToeplitzFactorization(inner=f.inner, plan=f.plan, d=ss.scaling_D(4))
 
 
 def test_solve_rejects_wrong_length():
