@@ -169,11 +169,14 @@ _KERNEL_SOURCE = Path(__file__).with_name("_gko_kernel.c")
 # -fno-math-errno changes no value: sqrt no longer sets errno, which nothing
 # reads, and without it GCC keeps every loop that takes a square root
 # scalar.  -fno-trapping-math is not needed: the kernel selects its operands
-# before it computes, so GCC if-converts the quotients without it.  The AVX2
-# copies of the kernel (target_clones in the source) are safe where
-# -march=native is not: the dynamic loader picks them only on a CPU with
-# AVX2, the base-ISA copies run everywhere else, and both compute in the
-# order the source fixes, without FMA, so they give the same bits
+# before it computes, so GCC if-converts the quotients without it.  The
+# AVX-512F and AVX2 copies of the kernel (target_clones in the source) are
+# safe where -march=native is not: the dynamic loader picks each only on a
+# CPU with that extension, the base-ISA copies run everywhere else, and all
+# compute in the order the source fixes, without FMA, so they give the same
+# bits.  -ffp-contract=off alone does not rule FMA out: both extensions
+# have it, and GCC can fuse a vectorised complex product in their copies
+# even so, so the tests and CI check every build's code for FMA with objdump
 _KERNEL_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 # the kernel holds this many columns of L in an n-row panel (16 n _L_PANEL
 # bytes) and copies them into L row by row when the panel is full: written
@@ -423,10 +426,17 @@ def _add_lu_product(LU: np.ndarray, A: np.ndarray) -> None:
     its upper one; the rest is read from ``LU`` in place.  Besides A, the
     work is two ``_SUB_BLOCK`` x n arrays, U's block row and one chunk's
     product, so no factor and no n x n product is built.
+
+    Each chunk's product is added to whole rows of A, the product's columns
+    before lo held at zero: numpy adds two C-contiguous arrays without a
+    buffer, where an add into the strided A[r:end, lo:] allocates its
+    iterator's buffers (385 KB to add a 64 x 200 chunk of 205 KB).  Adding
+    a zero changes no entry of A (only a -0.0 becomes +0.0), so A's norm
+    keeps its bits.
     """
     n = LU.shape[0]
     panel = np.empty((_SUB_BLOCK, n), dtype=complex)
-    product = np.empty((_SUB_BLOCK, n), dtype=complex)
+    product = np.zeros((_SUB_BLOCK, n), dtype=complex)
     for lo in range(0, n, _SUB_BLOCK):
         hi = min(lo + _SUB_BLOCK, n)
         mask = _STRICT_LOWER[: hi - lo, : hi - lo]
@@ -437,9 +447,10 @@ def _add_lu_product(LU: np.ndarray, A: np.ndarray) -> None:
         U[:, : hi - lo][mask] = 0.0
         for r in range(lo, n, _SUB_BLOCK):
             end = min(r + _SUB_BLOCK, n)
-            out = np.matmul(L if r == lo else LU[r:end, lo:hi], U,
-                            out=product[: end - r, : n - lo])
-            A[r:end, lo:] += out
+            np.matmul(L if r == lo else LU[r:end, lo:hi], U, out=product[: end - r, lo:])
+            A[r:end] += product[: end - r]
+        # the next block's products start at column hi
+        product[:, lo:hi] = 0.0
 
 
 def _solve_scaled(n: int, b, solve) -> np.ndarray:

@@ -36,13 +36,16 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToeplitzFactorization:
     """Factorization T = F* P^T L U P'^T F D of an order-n Toeplitz matrix.
 
     ``inner`` factors the Cauchy-type F T D^{-1} F*, ``plan`` gives F's
     order and ``d`` holds D's diagonal; construction refuses parts of
-    different orders with ``ValueError``.
+    different orders with ``ValueError``.  The fields are frozen, so the
+    orders checked at construction stay checked: assigning one raises
+    ``dataclasses.FrozenInstanceError``, and ``dataclasses.replace``
+    builds and checks a new factorization.
     """
 
     inner: GKOFactorization

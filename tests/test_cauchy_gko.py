@@ -2,9 +2,12 @@
 
 import cmath
 import dataclasses
+import platform
 import re
+import shutil
 import subprocess
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1001,8 +1004,10 @@ def test_equal_candidates_in_different_lanes_pivot_on_the_smallest_index(n, stra
 
 
 @pytest.mark.parametrize("upper", [False, True], ids=["unit-lower", "upper"])
-@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("m", [1, 3, 8, 11])
 def test_block_solve_substitutes_through_one_diagonal_block(upper, m):
+    # m = 8 is one chunk of right-hand sides solved together, m = 11 a chunk
+    # and three columns solved one at a time
     rng = np.random.default_rng(9)
     n, lo, b = 9, 2, 5
     T = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
@@ -1012,14 +1017,60 @@ def test_block_solve_substitutes_through_one_diagonal_block(upper, m):
     expected = np.linalg.solve(block, X)
     # the unit-lower solve must not read the diagonal it assumes
     T[lo : lo + b, lo : lo + b] = block + (0 if upper else 7 * np.eye(b))
+    columns = [np.ascontiguousarray(X[:, c]) for c in range(m)]
     cauchy_gko._solve_block(b, m, int(upper), T[lo:, lo:].ctypes.data, n, X.ctypes.data)
     assert_allclose(X, expected, rtol=1e-12)
+    for c, x in enumerate(columns):
+        cauchy_gko._solve_block(b, 1, int(upper), T[lo:, lo:].ctypes.data, n, x.ctypes.data)
+        assert X[:, c].tobytes() == x.tobytes(), c
 
 
-def test_kernel_loader_builds_into_an_empty_cache(tmp_path, monkeypatch):
-    eliminate, solve_block = cauchy_gko._load_kernel(cache_dir=tmp_path)
-    built = [path.name for path in tmp_path.iterdir()]
-    assert len(built) == 1 and built[0].startswith("_gko_kernel-") and built[0].endswith(".so")
+# Builds of the kernel besides the dispatched one: "base" compiles the step,
+# the pivot scan and the hat ratio once, for the base instruction set, and
+# each other build compiles them once for one target alone.  Built once per
+# test run, on first use.
+_KERNEL_BUILDS = {
+    "base": "-DKERNEL_CLONES=",
+    "avx2": '-DKERNEL_CLONES=__attribute__((target("avx2")))',
+    "avx512f": '-DKERNEL_CLONES=__attribute__((target("avx512f")))',
+}
+
+
+def _cpu_flags() -> set:
+    """The CPU's feature flags from /proc/cpuinfo, none where it has no flags line."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    flags = (line.split(":", 1)[1].split() for line in lines if line.startswith("flags"))
+    return set(next(flags, ()))
+
+
+@pytest.fixture(scope="module")
+def kernel_build(tmp_path_factory):
+    """build name -> (gko_eliminate, tri_block_solve, library path), each in a
+    cache of its own; "dispatched" is the build with the default flags"""
+    built = {}
+
+    def build(name):
+        if name not in ("dispatched", "base") and platform.machine() != "x86_64":
+            pytest.skip(f"{name} is an x86-64 target")
+        if name not in built:
+            cache = tmp_path_factory.mktemp(name)
+            extra = () if name == "dispatched" else (_KERNEL_BUILDS[name],)
+            entry_points = cauchy_gko._load_kernel(
+                cache_dir=cache, flags=cauchy_gko._KERNEL_FLAGS + extra
+            )
+            built[name] = *entry_points, next(cache.glob("*.so"))
+        return built[name]
+
+    return build
+
+
+def test_kernel_loader_builds_into_an_empty_cache(kernel_build, monkeypatch):
+    eliminate, solve_block, library = kernel_build("dispatched")
+    assert list(library.parent.iterdir()) == [library]
+    assert library.name.startswith("_gko_kernel-")
     n = 2 * B + 3
     gen, nodes = ss.random_cauchy_type(n, 2, seed=3)
     b = np.linspace(-1.0, 1.0, 2 * n).reshape(n, 2)
@@ -1035,14 +1086,16 @@ def test_kernel_loader_builds_into_an_empty_cache(tmp_path, monkeypatch):
     assert ss.solve_with_factors(got, b).tobytes() == x_expected.tobytes()
 
 
-def test_kernel_built_for_the_base_isa_gives_the_same_bits(tmp_path, monkeypatch):
-    # -DKERNEL_CLONES= compiles the step and the hat ratio once, for the base
-    # instruction set; where the default build dispatches to AVX2 copies,
-    # this runs the other copies' code on the same inputs.  n = 9 leaves one
-    # entry past a chunk of lanes at step 0; n = 300 runs without hat ratios.
-    eliminate, _ = cauchy_gko._load_kernel(
-        cache_dir=tmp_path, flags=cauchy_gko._KERNEL_FLAGS + ("-DKERNEL_CLONES=",)
-    )
+@pytest.mark.parametrize("isa", list(_KERNEL_BUILDS))
+def test_kernel_built_for_one_isa_gives_the_same_bits(isa, kernel_build, monkeypatch):
+    # The dispatched build runs the copy the CPU picks (AVX-512F, AVX2 or
+    # base); each build here runs one copy alone on the same inputs, so on
+    # any CPU every copy it can run is compared with the one it picks.
+    # n = 9 leaves one entry past a chunk of lanes at step 0; n = 300 runs
+    # without hat ratios.
+    if isa != "base" and isa not in _cpu_flags():
+        pytest.skip(f"the CPU has no {isa}")
+    eliminate, _, _ = kernel_build(isa)
     adversarial = ss.to_cauchy_generators(
         ss.toeplitz_generators(ss.adversarial_toeplitz(ss.AdversarialSpec(n=64, delta=1e-6)))
     )
@@ -1064,6 +1117,22 @@ def test_kernel_built_for_the_base_isa_gives_the_same_bits(tmp_path, monkeypatch
             assert bits(getattr(got, name)) == bits(getattr(f, name)), (name, strategy)
         for name in (fld.name for fld in dataclasses.fields(f.trace)):
             assert bits(getattr(got.trace, name)) == bits(getattr(f.trace, name)), (name, strategy)
+
+
+@pytest.mark.skipif(shutil.which("objdump") is None, reason="needs objdump")
+@pytest.mark.parametrize("build", ["dispatched", *_KERNEL_BUILDS])
+def test_kernel_build_has_no_fused_multiply_add(build, kernel_build):
+    # -ffp-contract=off does not keep GCC from fusing a vectorised complex
+    # product where the target has FMA (AVX2 and AVX-512F both do), and a
+    # fused product rounds once where the source rounds twice.  This reads
+    # the code, not the CPU, so it checks every copy on any x86-64 machine.
+    *_, library = kernel_build(build)
+    listing = subprocess.run(
+        ["objdump", "-d", str(library)], capture_output=True, text=True, check=True
+    ).stdout
+    # vfmadd..., vfmsub..., vfnmadd..., vfnmsub..., vfmaddsub... and vfmsubadd...
+    fused = re.findall(r"\bvfn?m(?:add|sub)\w*", listing)
+    assert not fused, sorted(set(fused))
 
 
 def test_kernel_source_is_warning_free_pedantic_c99():

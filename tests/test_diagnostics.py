@@ -197,15 +197,17 @@ def _extra_peak_bytes(call) -> int:
 def test_backward_errors_hold_one_work_array_beyond_their_inputs():
     # one n x n complex array of 16 n^2 bytes, the Toeplitz path two while
     # an FFT pass runs, and blocks of 64 rows; the dense reconstruction
-    # held four and three
+    # held four and three.  The Cauchy path measures 1.69: A, two 64 x n
+    # blocks of 0.25 each and a diagonal block's temporaries; adding each
+    # product into A[r:end, lo:] took numpy's buffers on top, 1.94
     n = 256
     gen, nodes = ss.random_cauchy_type(n, 4, seed=1)
     f = ss.gko_factor(gen, nodes, "partial", hat_ratios=False)
     coeffs = ss.adversarial_toeplitz(ss.AdversarialSpec(n=n, delta=1e-8))
     ft = ss.toeplitz_factor(coeffs, "partial", hat_ratios=False)
-    limit = 2.3 * 16 * n * n
-    assert _extra_peak_bytes(lambda: ss.backward_error_cauchy(gen, nodes, f)) <= limit
-    assert _extra_peak_bytes(lambda: ss.backward_error_toeplitz(coeffs, ft)) <= limit
+    array = 16 * n * n
+    assert _extra_peak_bytes(lambda: ss.backward_error_cauchy(gen, nodes, f)) <= 1.75 * array
+    assert _extra_peak_bytes(lambda: ss.backward_error_toeplitz(coeffs, ft)) <= 2.3 * array
 
 
 @pytest.mark.parametrize("m", [1, 4])

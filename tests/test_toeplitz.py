@@ -223,6 +223,17 @@ def test_factorization_refuses_a_scaling_of_another_order():
         ss.ToeplitzFactorization(inner=f.inner, plan=f.plan, d=ss.scaling_D(4))
 
 
+def test_factorization_refuses_a_part_assigned_after_construction():
+    f = ss.toeplitz_factor(ss.random_toeplitz(8, seed=1))
+    d = f.d
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.d = ss.scaling_D(4)
+    assert f.d is d
+    # replace builds a new factorization, which is checked as any other
+    with pytest.raises(ValueError, match=re.escape("plan is order 8, d has shape (4,)")):
+        dataclasses.replace(f, d=ss.scaling_D(4))
+
+
 def test_solve_rejects_wrong_length():
     f = ss.toeplitz_factor(ss.random_toeplitz(4, seed=0))
     with pytest.raises(ValueError):
