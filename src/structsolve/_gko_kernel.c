@@ -250,11 +250,14 @@ static inline double lane_total(const double *lane)
  * -DKERNEL_CLONES='__attribute__((target("avx2")))', it builds that copy
  * alone, which runs only on a CPU with that extension.
  *
- * Both targets enable FMA, and -ffp-contract=off does not stop GCC from
- * forming a fused multiply-add out of a vectorised complex product (GCC
- * 12.2 formed vfmaddsub in an AVX-512F copy of tri_block_solve's loop), so
- * every clone must be checked for FMA instructions: the tests and CI do so
- * with objdump, and find none in the cloned loops. */
+ * The AVX-512F target enables fused multiply-adds, which AVX-512F has in
+ * EVEX forms of its own; the AVX2 target alone does not (FMA is a separate
+ * extension).  -ffp-contract=off does not always stop GCC from fusing a
+ * vectorised complex product in an AVX-512F copy: GCC 12.2 formed
+ * vfmaddsub in a clone of a loop that substituted eight right-hand sides
+ * at a time.  So the tests and CI disassemble every build with objdump and
+ * fail on any FMA instruction; for the AVX2 build that guards against a
+ * change of flags or compiler.  The cloned loops hold none today. */
 #ifndef KERNEL_CLONES
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -756,47 +759,25 @@ ptrdiff_t gko_eliminate(ptrdiff_t n, ptrdiff_t alpha, int strategy, int hat, dou
  * row first.  Each sum subtracts its products one at a time, j ascending.
  * Substitution is backward stable without interchanges (Higham, Accuracy
  * and Stability of Numerical Algorithms, 2nd ed., Thm 8.5).
- *
- * Within a row the right-hand sides are taken HAT_LANES at a time, each in
- * its own sum, so that one pass over row i of T serves them all; the
- * m mod HAT_LANES left over are taken one at a time.  Either way a column
- * sees the same operations in the same order, so it has the bits of its
- * own one-column solve.  This function has no clones: the AVX-512F copy of
- * the chunked loop is the one where GCC formed vfmaddsub.
  */
 void tri_block_solve(ptrdiff_t b, ptrdiff_t m, int upper, const cplx *T, ptrdiff_t ldt,
                      cplx *X)
 {
-    ptrdiff_t full = m - m % HAT_LANES;
     for (ptrdiff_t r = 0; r < b; r++) {
         ptrdiff_t i = upper ? b - 1 - r : r;
         ptrdiff_t lo = upper ? i + 1 : 0, hi = upper ? b : i;
         const cplx *t_i = T + i * ldt;
-        cplx *x_i = X + i * m;
         divisor by_diag = prepare(upper ? t_i[i] : (cplx){1.0, 0.0});
-        /* summed in locals: the compiler must assume that a store to x_i
-         * could change an x_j, and would reload the sums each time */
-        for (ptrdiff_t c = 0; c < full; c += HAT_LANES) {
-            cplx acc[HAT_LANES];
-            for (int l = 0; l < HAT_LANES; l++)
-                acc[l] = x_i[c + l];
-            for (ptrdiff_t j = lo; j < hi; j++)
-                for (int l = 0; l < HAT_LANES; l++) {
-                    cplx d = cmul(t_i[j], X[j * m + c + l]);
-                    acc[l].re -= d.re;
-                    acc[l].im -= d.im;
-                }
-            for (int l = 0; l < HAT_LANES; l++)
-                x_i[c + l] = upper ? divide(acc[l], by_diag) : acc[l];
-        }
-        for (ptrdiff_t c = full; c < m; c++) {
-            cplx acc = x_i[c];
+        for (ptrdiff_t c = 0; c < m; c++) {
+            /* summed in a local: the compiler must assume that a store to
+             * x_i could change an x_j, and would reload the sum each time */
+            cplx acc = X[i * m + c];
             for (ptrdiff_t j = lo; j < hi; j++) {
                 cplx d = cmul(t_i[j], X[j * m + c]);
                 acc.re -= d.re;
                 acc.im -= d.im;
             }
-            x_i[c] = upper ? divide(acc, by_diag) : acc;
+            X[i * m + c] = upper ? divide(acc, by_diag) : acc;
         }
     }
 }

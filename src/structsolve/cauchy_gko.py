@@ -174,9 +174,10 @@ _KERNEL_SOURCE = Path(__file__).with_name("_gko_kernel.c")
 # safe where -march=native is not: the dynamic loader picks each only on a
 # CPU with that extension, the base-ISA copies run everywhere else, and all
 # compute in the order the source fixes, without FMA, so they give the same
-# bits.  -ffp-contract=off alone does not rule FMA out: both extensions
-# have it, and GCC can fuse a vectorised complex product in their copies
-# even so, so the tests and CI check every build's code for FMA with objdump
+# bits.  -ffp-contract=off alone does not rule FMA out: the AVX-512F
+# target enables fused multiply-adds (the AVX2 target alone does not), and
+# GCC can fuse a vectorised complex product in an AVX-512F copy even so, so
+# the tests and CI check every build's code for FMA with objdump
 _KERNEL_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 # the kernel holds this many columns of L in an n-row panel (16 n _L_PANEL
 # bytes) and copies them into L row by row when the panel is full: written
