@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EPS, CauchyNodes, GeneratorPair, Permutation, SingularMatrixError
+from .core import (EPS, CauchyNodes, GeneratorPair, Permutation, SingularMatrixError,
+                   _check_same_order, _part_exponent)
 
 __all__ = [
     "PivotStrategy",
@@ -126,19 +127,15 @@ class GKOFactorization:
     @property
     def L(self) -> np.ndarray:
         """Unit lower triangular L, a new read-only array built from ``LU``."""
-        L = self._triangle(upper=False)
-        L.flags.writeable = False
-        return L
+        return self._triangle(upper=False)
 
     @property
     def U(self) -> np.ndarray:
         """Upper triangular U, a new read-only array built from ``LU``."""
-        U = self._triangle(upper=True)
-        U.flags.writeable = False
-        return U
+        return self._triangle(upper=True)
 
     def _triangle(self, upper: bool) -> np.ndarray:
-        """U, or L with its unit diagonal, as a new array built from ``LU``.
+        """U, or L with its unit diagonal, as a new read-only array built from ``LU``.
 
         The factor is written one block of _SUB_BLOCK rows at a time: the
         columns left of the diagonal block (right of it for L) are zeroed
@@ -160,6 +157,7 @@ class GKOFactorization:
             T[lo:hi, lo:hi][mask[: hi - lo, : hi - lo]] = 0.0
         if not upper:
             np.fill_diagonal(T, 1.0)
+        T.flags.writeable = False
         return T
 
 
@@ -323,17 +321,18 @@ def gko_factor(
     ------
     SingularMatrixError
         At the first step whose pivot magnitude is at most n*eps times the
-        largest candidate examined there, or is subnormal or NaN (the
-        generators' scale took the elimination out of the float range); the
-        loop stops there.
+        largest candidate examined there, or is subnormal (the generators'
+        scale took the elimination below the normal range); the loop stops
+        there.
     ValueError
-        When the generators and nodes differ in order, or ``hat_ratios`` is
-        neither a bool nor "auto".
+        When the generators and nodes differ in order, ``hat_ratios`` is
+        neither a bool nor "auto", or the step the loop stops at has a pivot
+        or a largest candidate that is inf or NaN: entries of the matrix
+        overflow the float64 range.
     """
     strategy = PivotStrategy.coerce(strategy)
+    _check_same_order(gen, nodes)
     n, alpha = gen.n, gen.alpha
-    if nodes.n != n:
-        raise ValueError(f"generators are order {n}, nodes are order {nodes.n}")
     if isinstance(hat_ratios, str) and hat_ratios == "auto":
         hat_ratios = n <= HAT_RATIO_AUTO_LIMIT
     # None, a number or another string would be read for its truth value and
@@ -376,10 +375,15 @@ def gko_factor(
     )
     if failed >= 0:
         pivot, candidate = trace.pivot_magnitude[failed], norms[4]
+        if not (np.isfinite(pivot) and np.isfinite(candidate)):
+            raise ValueError(
+                f"the matrix overflows the float64 range at step {failed} (pivot "
+                f"{pivot:.3e}, largest candidate {candidate:.3e}); scale the generators down"
+            )
         raise SingularMatrixError(
             f"singular at step {failed}: pivot {pivot:.3e} below {n}*eps*{candidate:.3e}"
             if pivot <= n * EPS * candidate
-            # else the kernel stopped on a subnormal or NaN pivot
+            # else the kernel stopped on a subnormal pivot
             else f"pivot {pivot:.3e} at step {failed} is below the normal range"
         )
     return GKOFactorization(
@@ -479,9 +483,7 @@ def _solve_scaled(n: int, b, solve) -> np.ndarray:
     # checked before the solve: a Toeplitz transform would warn on an inf
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side b has non-finite entries")
-    # the parts, not |b|: a magnitude past 2^1024 / sqrt(2) would overflow
-    top = max(np.abs(b.real).max(initial=0.0), np.abs(b.imag).max(initial=0.0))
-    exponent = min(max(int(np.frexp(top)[1]), -1021), 1021)
+    exponent = _part_exponent(b, clamp=True)
     x = solve(b * 2.0**-exponent)
     with np.errstate(over="ignore"):
         x *= 2.0**exponent

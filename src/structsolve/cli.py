@@ -169,7 +169,8 @@ def _write(payload: str, out_path):
 
 def _or_input_error(fn, *args):
     # the library raises ValueError on a non-finite b, on a solution past
-    # the float64 range and on Toeplitz generators that overflow it; its
+    # the float64 range, on Toeplitz generators that overflow it and on a
+    # matrix whose entries overflow it in elimination; its
     # singular and collision errors are ValueErrors with exit codes of their own
     try:
         return fn(*args)
@@ -190,7 +191,7 @@ def _cmd_solve(args) -> int:
         report = solve_quality(payload, b, x)
     else:
         gen, nodes = payload
-        f = gko_factor(gen, nodes, strategy)
+        f = _or_input_error(gko_factor, gen, nodes, strategy)
         x = _or_input_error(solve_with_factors, f, b)
         report = _solve_errors(materialize_cauchy(gen, nodes), b, x)
     doc = {"x": _encode(x), "report": _encode(report.to_dict())}
@@ -206,7 +207,7 @@ def _factor_any(kind, payload, strategy):
         gen, nodes = to_cauchy_generators(toeplitz_generators(payload))
         return gen, nodes, toeplitz.inner, toeplitz
     gen, nodes = payload
-    return gen, nodes, gko_factor(gen, nodes, strategy), None
+    return gen, nodes, _or_input_error(gko_factor, gen, nodes, strategy), None
 
 
 def _cmd_factor(args) -> int:

@@ -7,6 +7,7 @@ real: the simplicity is worth the memory even at orders in the thousands
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -47,18 +48,40 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """Elimination met a pivot too small to divide by."""
 
 
-def _as_complex_vector(v, name="vector"):
+def _as_complex(v, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        dims = ("one", "two")[ndim - 1]
+        raise ValueError(f"{name} must be {dims}-dimensional, got shape {arr.shape}")
     return arr
 
 
-def _as_complex_matrix(m, name="matrix"):
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    return arr
+def _part_exponent(v, clamp: bool = False) -> int:
+    """The exponent e with 2^(e-1) <= m < 2^e, m the largest real or imaginary
+    part of v (not |v|, which can overflow); 0 where m is 0 or not finite.
+    ``clamp`` keeps e within [-1021, 1021], where 2.0**e and 2.0**-e are normal."""
+    v = np.asarray(v)
+    top = max(np.abs(v.real).max(initial=0.0), np.abs(v.imag).max(initial=0.0))
+    # math.frexp gives (top, 0) for a zero, inf or NaN top
+    e = math.frexp(top)[1]
+    return min(max(e, -1021), 1021) if clamp else e
+
+
+def _ldexp(v, e: int) -> np.ndarray:
+    """v times 2^e as a new array, by np.ldexp on each part: exact where it
+    stays normal, signed zeros kept, and a subnormal v scales where 2.0**-e
+    itself would overflow.  A real v stays real, so its norm keeps its bits."""
+    v = np.asarray(v)
+    if not np.iscomplexobj(v):
+        return np.ldexp(v, e)
+    out = np.empty_like(v)
+    out.real, out.imag = np.ldexp(v.real, e), np.ldexp(v.imag, e)
+    return out
+
+
+def _check_same_order(gen, nodes) -> None:
+    if gen.n != nodes.n:
+        raise ValueError(f"generators are order {gen.n}, nodes are order {nodes.n}")
 
 
 def _order(n, minimum: int = 1, message: str | None = None, name: str = "order") -> int:
@@ -105,8 +128,8 @@ class GeneratorPair:
     psi: np.ndarray
 
     def __post_init__(self):
-        phi = _as_complex_matrix(self.phi, "phi")
-        psi = _as_complex_matrix(self.psi, "psi")
+        phi = _as_complex(self.phi, "phi", 2)
+        psi = _as_complex(self.psi, "psi", 2)
         if phi.shape[1] != psi.shape[0]:
             raise ValueError(
                 f"phi has {phi.shape[1]} columns but psi has {psi.shape[0]} rows"
@@ -147,8 +170,8 @@ class CauchyNodes:
     gap_extrema: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = _as_complex_vector(self.t, "t")
-        s = _as_complex_vector(self.s, "s")
+        t = _as_complex(self.t, "t", 1)
+        s = _as_complex(self.s, "s", 1)
         if t.shape != s.shape:
             raise ValueError(f"t has length {t.size} but s has length {s.size}")
         if t.size == 0:
@@ -190,7 +213,7 @@ class ToeplitzCoeffs:
     a: np.ndarray
 
     def __post_init__(self):
-        a = _as_complex_vector(self.a, "a")
+        a = _as_complex(self.a, "a", 1)
         if a.size % 2 != 1:
             raise ValueError(f"need 2n-1 coefficients, got {a.size}")
         if not np.isfinite(a).all():
@@ -231,8 +254,7 @@ class Permutation:
 
 def materialize_cauchy(gen: GeneratorPair, nodes: CauchyNodes) -> np.ndarray:
     """Dense Cauchy-type matrix with entries phi_i psi_j / (t_i - s_j)."""
-    if gen.n != nodes.n:
-        raise ValueError(f"generators are order {gen.n}, nodes are order {nodes.n}")
+    _check_same_order(gen, nodes)
     return _cauchy_matrix(gen.phi, gen.psi, nodes.t, nodes.s)
 
 

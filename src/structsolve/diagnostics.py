@@ -24,6 +24,8 @@ from .core import (
     SingularMatrixError,
     ToeplitzCoeffs,
     _cauchy_matrix,
+    _ldexp,
+    _part_exponent,
     dense_toeplitz,
 )
 from .dft import apply_F, apply_F_inv
@@ -113,9 +115,13 @@ def v_matrix(gen: GeneratorPair) -> np.ndarray:
     entries mean no cancellation; displacement rank 1 always gives that,
     leaving only a phase.  Entries whose quotient is not finite (a zero
     denominator, or a quotient past the float range) are +inf.  V does not
-    change when phi or psi is scaled, and neither does this rule.
+    change when phi or psi is scaled, and neither does this function: it
+    scales each of phi and psi by the power of two that brings its largest
+    real or imaginary part into [0.5, 1), which is exact, so the products
+    neither under- nor overflow for the generators' scale alone.
     """
-    return _v_ratio(np.abs(gen.phi) @ np.abs(gen.psi), gen.phi @ gen.psi)
+    phi, psi = (_ldexp(g, -_part_exponent(g)) for g in (gen.phi, gen.psi))
+    return _v_ratio(np.abs(phi) @ np.abs(psi), phi @ psi)
 
 
 def growth_report(
@@ -123,12 +129,16 @@ def growth_report(
 ) -> GrowthReport:
     """Assemble the growth factors and bounds from a factorization trace.
 
-    g2 needs the per-step hatted norm ratios; when the factorization skipped
-    them (large n), g2 and every quantity derived from it are NaN.  At n = 1
-    there is no step 2, and g2 is 0.
+    ``trace`` must be ``f.trace``, the trace f holds, or ``ValueError``: g1
+    adds f's hatted ratios to the trace's v_kk.  g2 needs the per-step
+    hatted norm ratios; when the factorization skipped them (large n), g2
+    and every quantity derived from it are NaN.  At n = 1 there is no step
+    2, and g2 is 0.
     """
     n = f.n
-    _check_orders(n, trace=trace.n, nodes=nodes.n)
+    if trace is not f.trace:
+        raise ValueError("trace must be f.trace, the trace of the factorization f")
+    _check_orders(n, nodes=nodes.n)
     # operator norm of diag{v_kk}: the constant that bounds ||L diag U||
     v_kk_norm = float(np.max(np.abs(trace.v_kk)))
     g1 = f.hatL_ratio + f.hatU_ratio + v_kk_norm
@@ -223,11 +233,14 @@ def recover_from_displacement(b) -> np.ndarray:
     the diagonal through B starting below-left of (i, j), summed from column
     j to the last column, minus the same diagonal summed over columns before
     j, wrapping row indices modulo n.  The displacement operator traverses
-    that closed diagonal loop twice, whence the factor one half.
+    that closed diagonal loop twice, whence the factor one half.  B must be
+    square and finite, or ``ValueError``.
     """
     B = np.asarray(b, dtype=complex)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError(f"need a square matrix, got shape {B.shape}")
+    if not np.isfinite(B).all():
+        raise ValueError("displacement B must be finite")
     n = B.shape[0]
     idx = np.arange(n)
     # diag[m, c] = B[(m + c) mod n, c]: the m-th wrapped diagonal, by column
@@ -265,18 +278,9 @@ def _norm(v) -> float:
     """
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
-    if not (norm < np.finfo(float).tiny or norm == np.inf):
-        return norm
-    v = np.asarray(v)
-    top = max(np.abs(v.real).max(initial=0.0), np.abs(v.imag).max(initial=0.0))
-    if top == 0.0 or not np.isfinite(top):
-        return norm
-    e = int(np.frexp(top)[1])
-    # ldexp takes the parts: 2.0**-e itself overflows for a subnormal top
-    scaled = np.ldexp(v.real, -e)
-    if np.iscomplexobj(v):
-        scaled = scaled + 1j * np.ldexp(v.imag, -e)
-    return float(np.ldexp(np.linalg.norm(scaled), e))
+    e = _part_exponent(v) if norm < np.finfo(float).tiny or norm == np.inf else 0
+    # e is 0 also for a zero or a non-finite v, and scaling by 2^0 changes nothing
+    return norm if e == 0 else float(np.ldexp(np.linalg.norm(_ldexp(v, -e)), e))
 
 
 def _solve_errors(A: np.ndarray, b, x_tilde) -> BackwardErrorReport:
@@ -289,11 +293,18 @@ def _solve_errors(A: np.ndarray, b, x_tilde) -> BackwardErrorReport:
     entry, and inf otherwise, however small x is.  b and x must have the
     same shape: a column against a vector would broadcast to a matrix and
     give a wrong number, so it raises ``ValueError``.
+
+    b and x are first scaled by 2^-e, e as ``solve_with_factors`` takes it
+    from b, so a b near the float limit overflows neither the residual nor
+    the reference solve.  A power of two scales exactly, and each relative
+    error has the bits of the unscaled one wherever that is in range.
     """
     if np.shape(b) != np.shape(x_tilde):
         raise ValueError(
             f"b has shape {np.shape(b)} and x shape {np.shape(x_tilde)}: they must match"
         )
+    scale = 2.0 ** -_part_exponent(b, clamp=True)
+    b, x_tilde = b * scale, x_tilde * scale
     residual = _relative(_norm(A @ x_tilde - b), _norm(b))
     try:
         x_ref = np.linalg.solve(A, b)

@@ -84,10 +84,12 @@ def _substitute(f: DenseFactorization, b: np.ndarray) -> np.ndarray:
 def dense_solve(a, b) -> np.ndarray:
     """Solve a dense square system by GE/PP and substitution.
 
-    ``b`` may be a vector or a matrix of stacked right-hand-side columns.
-    Like the matrix, it must be finite.
+    ``b`` may be a vector or a matrix of stacked right-hand-side columns,
+    and nothing else.  Like the matrix, it must be finite.
     """
     b = np.asarray(b, dtype=complex)
+    if b.ndim not in (1, 2):
+        raise ValueError(f"b must have shape (n,) or (n, m), got shape {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("right-hand side must be finite")
     f = dense_gepp_factor(a)

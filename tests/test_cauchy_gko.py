@@ -980,6 +980,21 @@ def test_subnormal_pivot_is_singular(exponent, message):
         ss.gko_factor(scaled, nodes, "partial")
 
 
+@pytest.mark.parametrize("strategy", ["none", "partial", "row1col1"])
+@pytest.mark.parametrize("scale", ["1e160", "2^600"])
+def test_entries_past_the_float_range_raise_value_error(scale, strategy):
+    # phi and psi near 1e160 give entries near 1e320: the first pivot and
+    # candidates are inf or NaN, which is an overflow, not a singular matrix
+    gen, nodes = ss.random_cauchy_type(16, 2, seed=3)
+    if scale == "1e160":
+        scaled = ss.GeneratorPair(phi=gen.phi * 1e160, psi=gen.psi * 1e160)
+    else:
+        scaled = ss.GeneratorPair(phi=_ldexp(gen.phi, 600), psi=_ldexp(gen.psi, 600))
+    with pytest.raises(ValueError, match="overflows the float64 range at step 0") as info:
+        ss.gko_factor(scaled, nodes, strategy)
+    assert not isinstance(info.value, ss.SingularMatrixError)
+
+
 @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17])
 @pytest.mark.parametrize("strategy", ["partial", "row1col1"])
 def test_equal_candidates_in_different_lanes_pivot_on_the_smallest_index(n, strategy):
@@ -1046,10 +1061,16 @@ def _cpu_flags() -> set:
     return set(next(flags, ()))
 
 
+# every build here is also strict C99 with every warning an error, so a
+# warning in any one copy of the kernel fails the build that compiles it
+_STRICT_FLAGS = ("-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror")
+
+
 @pytest.fixture(scope="module")
 def kernel_build(tmp_path_factory):
     """build name -> (gko_eliminate, tri_block_solve, library path), each in a
-    cache of its own; "dispatched" is the build with the default flags"""
+    cache of its own, with the loader's flags and ``_STRICT_FLAGS``;
+    "dispatched" sets no KERNEL_CLONES, so the dynamic loader picks the copies"""
     built = {}
 
     def build(name):
@@ -1059,7 +1080,7 @@ def kernel_build(tmp_path_factory):
             cache = tmp_path_factory.mktemp(name)
             extra = () if name == "dispatched" else (_KERNEL_BUILDS[name],)
             entry_points = cauchy_gko._load_kernel(
-                cache_dir=cache, flags=cauchy_gko._KERNEL_FLAGS + extra
+                cache_dir=cache, flags=cauchy_gko._KERNEL_FLAGS + _STRICT_FLAGS + extra
             )
             built[name] = *entry_points, next(cache.glob("*.so"))
         return built[name]
@@ -1136,13 +1157,14 @@ def test_kernel_build_has_no_fused_multiply_add(build, kernel_build):
     assert not fused, sorted(set(fused))
 
 
-def test_kernel_source_is_warning_free_pedantic_c99():
-    # the compiler the loader builds the kernel with
-    flags = ["-fsyntax-only", "-Wall", "-Wextra", "-pedantic", "-std=c99", "-Werror"]
-    checked = subprocess.run(
-        ["cc", *flags, str(cauchy_gko._KERNEL_SOURCE)], capture_output=True, text=True
-    )
-    assert checked.returncode == 0, checked.stderr
+@pytest.mark.parametrize("build", ["dispatched", *_KERNEL_BUILDS])
+def test_kernel_build_is_warning_free_pedantic_c99(build, kernel_build):
+    # the loader raises ImportError with the compiler's message on any
+    # warning; -O3 sees what a syntax-only pass does not, and each copy's
+    # target sees its own code, so every build is compiled, with or without
+    # objdump to read it
+    *_, library = kernel_build(build)
+    assert library.exists()
 
 
 @pytest.mark.parametrize("compiler", ["no-such-cc", "false"], ids=["missing", "failing"])

@@ -38,6 +38,22 @@ def test_v_matrix_adversarial_first_column_large_middle_flat():
     assert V[:, 1:-1].max() <= 10.0
 
 
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_v_matrix_does_not_change_when_both_generators_are_scaled(exponent):
+    # unscaled, phi psi at 2^1200 overflowed to inf and at 2^-1200
+    # underflowed to 0, and every entry read +inf
+    gen, _ = ss.random_cauchy_type(6, 2, seed=2)
+
+    def scaled(z):
+        out = np.empty_like(z)
+        out.real, out.imag = np.ldexp(z.real, exponent), np.ldexp(z.imag, exponent)
+        return out
+
+    V = ss.v_matrix(ss.GeneratorPair(phi=scaled(gen.phi), psi=scaled(gen.psi)))
+    assert V.tobytes() == ss.v_matrix(gen).tobytes()
+    assert np.isfinite(V).all()
+
+
 def test_v_matrix_flags_degenerate_entries_as_inf():
     phi = np.array([[1.0, 1.0], [1.0, 0.0]])
     psi = np.array([[1.0, 1.0], [-1.0, 0.5]])
@@ -237,8 +253,18 @@ def test_growth_report_rejects_another_order(m):
     with pytest.raises(ValueError, match=f"factorization is order 8, nodes order {m}"):
         ss.growth_report(f.trace, f, nodes_m)
     trace_m = ss.gko_factor(gen_m, nodes_m, "partial").trace
-    with pytest.raises(ValueError, match=f"factorization is order 8, trace order {m}"):
+    with pytest.raises(ValueError, match="trace must be f.trace"):
         ss.growth_report(trace_m, f, nodes)
+
+
+def test_growth_report_refuses_the_trace_of_another_factorization():
+    # of one order, the two would mix f2's hatted ratios with f1's v_kk in g1
+    f1 = ss.gko_factor(*ss.random_cauchy_type(8, 2, seed=1), "partial")
+    gen, nodes = ss.random_cauchy_type(8, 2, seed=2)
+    f2 = ss.gko_factor(gen, nodes, "partial")
+    with pytest.raises(ValueError, match="trace must be f.trace"):
+        ss.growth_report(f1.trace, f2, nodes)
+    assert ss.growth_report(f2.trace, f2, nodes).g1 > 0.0
 
 
 def test_backward_error_toeplitz_grows_with_cancellation():
@@ -344,6 +370,13 @@ def test_recover_from_displacement_zero():
     assert np.all(ss.recover_from_displacement(np.zeros((5, 5))) == 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_recover_from_displacement_refuses_a_displacement_that_is_not_finite(bad):
+    # a NaN B used to come back as a NaN A, without a word
+    with pytest.raises(ValueError, match="displacement B must be finite"):
+        ss.recover_from_displacement(np.full((3, 3), bad))
+
+
 def test_recover_from_displacement_order_one():
     # for n=1 the displacement operator is multiplication by 2
     out = ss.recover_from_displacement(np.array([[6.0]]))
@@ -447,6 +480,20 @@ def test_solve_quality_tiny_rhs_reads_the_errors_of_the_unscaled_system():
     assert reps[0].residual > 0.0 and reps[0].forward_err > 0.0
     assert_allclose(reps[1].residual, reps[0].residual, rtol=1e-3)
     assert_allclose(reps[1].forward_err, reps[0].forward_err, rtol=1e-3)
+
+
+def test_solve_quality_of_a_right_hand_side_near_the_float_limit():
+    # T = [[2, 1], [3, 2]]: T x - b and LAPACK's unscaled reference both
+    # overflowed, and the report called the nonsingular T singular
+    coeffs = ss.ToeplitzCoeffs(a=[1.0, 2.0, 3.0])
+    b = np.array([1e308, 1e308])
+    x = ss.toeplitz_solve(ss.toeplitz_factor(coeffs), b)
+    report = ss.solve_quality(coeffs, b, x)
+    assert 0.0 < report.residual <= 4 * EPS
+    assert 0.0 < report.forward_err <= 8 * EPS
+    # scaled by a power of two, the report keeps the bits of the scaled-down system
+    small = ss.solve_quality(coeffs, b * 2.0**-1000, x * 2.0**-1000)
+    assert (report.residual, report.forward_err) == (small.residual, small.forward_err)
 
 
 @pytest.mark.parametrize("b", [np.zeros(4), np.ones(4)], ids=["zero_rhs", "nonzero_rhs"])

@@ -144,3 +144,10 @@ def test_gepp_residual_budget():
         f = ss.dense_gepp_factor(A)
         resid = np.linalg.norm(A[f.perm.idx] - f.L @ f.U) / np.linalg.norm(A)
         assert resid <= 10 * n * n * eps
+
+
+@pytest.mark.parametrize("b", [1.0, np.ones((2, 2, 1))], ids=["scalar", "3-d"])
+def test_dense_solve_refuses_a_right_hand_side_of_another_shape(b):
+    # a 0-d b used to raise IndexError from b.shape[0]
+    with pytest.raises(ValueError, match=r"b must have shape \(n,\) or \(n, m\), got shape"):
+        ss.dense_solve(np.eye(2), b)

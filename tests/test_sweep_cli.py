@@ -454,6 +454,38 @@ def test_cli_exits_singular_on_a_subnormal_pivot(tmp_path, capsys):
         assert "below the normal range" in capsys.readouterr().err
 
 
+def _large_rhs_docs():
+    # b near the float limit: A x - b and LAPACK's reference each overflowed
+    # unscaled, and the report called the system singular
+    toeplitz = {"toeplitz": {"n": 2, "a": [1.0, 2.0, 3.0]}, "b": [1e308, 1e308]}
+    cauchy = _cauchy_system_doc(*ss.random_cauchy_type(4, 2, seed=0), [1e308] * 4)
+    return {"toeplitz": toeplitz, "cauchy": cauchy}
+
+
+@pytest.mark.parametrize("kind", ["toeplitz", "cauchy"])
+def test_cli_solve_reports_on_a_right_hand_side_near_the_float_limit(tmp_path, capsys, kind):
+    path = _write_json(tmp_path / "large.json", _large_rhs_docs()[kind])
+    assert cli.main(["solve", path]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    report = json.loads(out.out)["report"]
+    assert 0.0 < report["residual"] <= 1e-14
+    assert 0.0 < report["forward_err"] <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [1e160, 2.0**600], ids=["1e160", "2^600"])
+def test_cli_exits_on_input_error_where_entries_overflow(tmp_path, capsys, factor):
+    # entries near 1e320: the elimination's first pivot is past the float
+    # range, which is an input out of range, not a singular system
+    gen, nodes = ss.random_cauchy_type(8, 2, seed=3)
+    scaled = ss.GeneratorPair(phi=gen.phi * factor, psi=gen.psi * factor)
+    path = _write_json(tmp_path / "huge.json", _cauchy_system_doc(scaled, nodes, [1.0] * 8))
+    for command in ("factor", "growth", "solve"):
+        assert cli.main([command, path]) == 2, command
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "overflows the float64 range at step 0" in err[0], command
+
+
 def test_cli_sweep_csv_and_exit(tmp_path):
     out_path = tmp_path / "sweep.csv"
     code = cli.main(
